@@ -23,6 +23,7 @@ from .asm import (
     lambda_det_sum,
     min_region_sum,
     region_sum,
+    region_sum_counts,
 )
 from .condensation import (
     PerturbedDet,

@@ -4,14 +4,20 @@ An alternating-sign matrix (ASM) has entries in {-1, 0, 1}, every row and
 column summing to 1 with the nonzero entries alternating in sign.  ASMs
 are plain tuples of tuples of ints here.
 
-Enumeration runs row by row over partial column-sum profiles.  After any
+Everything runs row by row over partial column-sum profiles.  After any
 prefix of rows each column sum is 0 or 1, so the profile is a bitmask; a
 row is admissible when its own prefix sums also stay in {0, 1} and it
 ends at 1.  Each row raises the total sum by one, so depth n forces the
-all-ones profile and every leaf of the search is a complete ASM.  Counts
-grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so enumeration refuses
-sizes above a cap: 7 by default, overridable via the LAMBDADET_CAP
-environment variable or an explicit argument.
+all-ones profile.  Row r's share of the inversion count,
+sum_s b_rs * popcount(profile >> (s+1)), depends only on the profile and
+the row, so every aggregate (the count, the summation formula, masked-sum
+minima and histograms) folds over at most 2^n profiles per row with one
+cached transition table per size.  Only enumerate_asms lists matrices;
+it serves `asm enumerate|stats` and is the oracle the tests hold the
+folds to.  Counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so
+enumeration and the folds refuse sizes above a cap: 7 by default,
+overridable via the LAMBDADET_CAP environment variable or an explicit
+argument.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, DivisionByZero, NonMonomialEntry
@@ -100,9 +107,61 @@ def enumerate_asms(n: int, cap: int | None = None) -> Iterator[ASM]:
     yield from descend(0, 0)
 
 
+Transition = tuple[tuple[int, ...], int, int, int]
+
+
+@cache
+def _transitions(n: int) -> dict[int, tuple[Transition, ...]]:
+    """Profile -> every admissible row as (row, next_profile, inv_r, neg_r).
+
+    Every profile short of all-ones is reached by a partial permutation
+    matrix and can be completed, so the keys are exactly the states of
+    the fold.  The row adds inv_r inversions and neg_r entries -1.
+    """
+    table: dict[int, tuple[Transition, ...]] = {}
+    for profile in range((1 << n) - 1):
+        moves = []
+        for row in _admissible_rows(profile, n):
+            nxt, inv, neg = profile, 0, 0
+            for s, b in enumerate(row):
+                if b:
+                    nxt ^= 1 << s
+                    inv += b * (profile >> (s + 1)).bit_count()
+                    neg += b < 0
+            moves.append((row, nxt, inv, neg))
+        table[profile] = tuple(moves)
+    return table
+
+
+def _table(n: int, cap: int | None) -> dict[int, tuple[Transition, ...]]:
+    if n < 1:
+        raise ValueError("size must be positive")
+    check_cap(n, cap)
+    return _transitions(n)
+
+
+def _fold(n: int, cap: int | None, start, weight):
+    """Sum over all n-by-n ASMs of start * prod_r weight(r, row, inv_r, neg_r).
+
+    One accumulated value per profile, extended a row at a time.  Every
+    transition is weighed, zero or not, so a weight that raises for some
+    row raises whenever an ASM contains that row.
+    """
+    table = _table(n, cap)
+    states = {0: start}
+    for r in range(n):
+        new: dict = {}
+        for profile, acc in states.items():
+            for row, nxt, inv, neg in table[profile]:
+                term = acc * weight(r, row, inv, neg)
+                new[nxt] = new[nxt] + term if nxt in new else term
+        states = new
+    return states[(1 << n) - 1]
+
+
 def count_asms(n: int, cap: int | None = None) -> int:
-    """Count by exhaustive enumeration (subject to the cap)."""
-    return sum(1 for _ in enumerate_asms(n, cap))
+    """Number of n-by-n ASMs, by the profile fold (subject to the cap)."""
+    return _fold(n, cap, 1, lambda r, row, inv, neg: 1)
 
 
 def asm_count_formula(n: int) -> int:
@@ -190,38 +249,36 @@ def lambda_det_sum(matrix: PolyMatrix, cap: int | None = None) -> LaurentPoly:
     M^B multiplies entry (i, j) with exponent b_ij, so entries hit by a
     -1 must be invertible monomials.  Agrees with the condensation
     recurrence wherever both are defined.
+
+    Folded over profiles: row r contributes
+    l^(inv_r - neg_r) (1+l)^neg_r prod_j M_rj^b_rj, a polynomial in l
+    because inv_r >= neg_r (the +1 left of each -1 outweighs it).
     """
-    n = matrix.size
-    check_cap(n, cap)
-    inverses: dict[tuple[int, int], LaurentPoly] = {}
-    lam_pow: dict[int, LaurentPoly] = {}
-    neg_pow: dict[int, LaurentPoly] = {}
-    total = LaurentPoly.const(0)
-    for asm in enumerate_asms(n, cap):
-        stats = asm_stats(asm)
-        p, negs = stats.plus_exponent, stats.negatives
-        if p not in lam_pow:
-            lam_pow[p] = LAM**p
-        if negs not in neg_pow:
-            neg_pow[negs] = ONE_PLUS_LAM**negs
-        term = lam_pow[p] * neg_pow[negs]
-        for i, row in enumerate(asm):
+    products: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
+    powers: dict[tuple[int, int], LaurentPoly] = {}
+
+    def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
+        product = products.get((r, row))
+        if product is None:
+            product = ONE
             for j, b in enumerate(row):
                 if b == 1:
-                    term = term * matrix.rows[i][j]
+                    product = product * matrix.rows[r][j]
                 elif b == -1:
-                    inv = inverses.get((i, j))
-                    if inv is None:
-                        inv = inverses[(i, j)] = _invert_entry(matrix.rows[i][j])
-                    term = term * inv
-        total = total + term
-    return total
+                    product = product * _invert_entry(matrix.rows[r][j])
+            products[(r, row)] = product
+        power = powers.get((inv - neg, neg))
+        if power is None:
+            power = powers[(inv - neg, neg)] = LAM ** (inv - neg) * ONE_PLUS_LAM**neg
+        return power * product
+
+    return _fold(matrix.size, cap, ONE, weight)
 
 
 def expanded_term_count(matrix_size: int, cap: int | None = None) -> int:
     """Number of monomials when every (1+l)^N(B) factor is distributed out,
     i.e. the sum of 2^N(B) over all ASMs of the given size."""
-    return sum(2 ** asm_stats(asm).negatives for asm in enumerate_asms(matrix_size, cap))
+    return _fold(matrix_size, cap, 1, lambda r, row, inv, neg: 1 << neg)
 
 
 # -- masked partial sums ------------------------------------------------
@@ -257,21 +314,66 @@ def window_cells(
     )
 
 
+def sketch(asm: ASM) -> str:
+    """One-line text form: rows joined by '/', entries as '+', '-' or '.'."""
+    symbols = {0: ".", 1: "+", -1: "-"}
+    return "/".join("".join(symbols[b] for b in row) for row in asm)
+
+
 def region_sum(asm: ASM, cells: Iterable[tuple[int, int]]) -> int:
     """Sum of the ASM entries at the given 1-based positions."""
     return sum(asm[i - 1][j - 1] for (i, j) in cells)
 
 
+def _cells_by_row(n: int, cells: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """0-based columns of the given 1-based cells, grouped by 0-based row."""
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for i, j in cells:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(
+                "cell (%d, %d) lies outside the %d-by-%d matrix" % (i, j, n, n)
+            )
+        columns[i - 1].append(j - 1)
+    return columns
+
+
 def min_region_sum(
     n: int, cells: Iterable[tuple[int, int]], cap: int | None = None
 ) -> tuple[int, ASM]:
-    """Minimum of region_sum over all n-by-n ASMs, with a minimizer."""
-    cells = tuple(cells)
-    best: tuple[int, ASM] | None = None
-    for asm in enumerate_asms(n, cap):
-        value = region_sum(asm, cells)
-        if best is None or value < best[0]:
-            best = (value, asm)
-    if best is None:
-        raise ValueError("no alternating-sign matrices of size %d" % n)
-    return best
+    """Minimum of region_sum over all n-by-n ASMs, with a minimizer.
+
+    A min-plus fold over profiles that keeps one minimizing prefix of
+    rows per profile.
+    """
+    table = _table(n, cap)
+    columns = _cells_by_row(n, cells)
+    states: dict[int, tuple[int, ASM]] = {0: (0, ())}
+    for r in range(n):
+        new: dict[int, tuple[int, ASM]] = {}
+        for profile, (value, rows) in states.items():
+            for row, nxt, _inv, _neg in table[profile]:
+                total = value + sum(row[j] for j in columns[r])
+                if nxt not in new or total < new[nxt][0]:
+                    new[nxt] = (total, rows + (row,))
+        states = new
+    return states[(1 << n) - 1]
+
+
+def region_sum_counts(
+    n: int, cells: Iterable[tuple[int, int]], cap: int | None = None
+) -> dict[int, int]:
+    """How many n-by-n ASMs give each value of region_sum, by value.
+
+    A counting fold over (profile, partial sum) states.
+    """
+    table = _table(n, cap)
+    columns = _cells_by_row(n, cells)
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for r in range(n):
+        new: dict[tuple[int, int], int] = {}
+        for (profile, partial), count in states.items():
+            for row, nxt, _inv, _neg in table[profile]:
+                key = (nxt, partial + sum(row[j] for j in columns[r]))
+                new[key] = new.get(key, 0) + count
+        states = new
+    return dict(sorted((value, count) for (_, value), count in states.items()))

@@ -30,7 +30,7 @@ from .asm import (
     lambda_det_sum,
     mask_cells,
     min_region_sum,
-    region_sum,
+    sketch,
 )
 from .condensation import numeric_pyramid, perturbed_det
 from .errors import LambdaDetError, SizeMismatch
@@ -195,11 +195,6 @@ def _asm_pattern(args) -> frozenset:
     return complement_cells(pattern) if args.complement else mask_cells(pattern)
 
 
-def _sketch(asm) -> str:
-    symbols = {0: ".", 1: "+", -1: "-"}
-    return "/".join("".join(symbols[b] for b in row) for row in asm)
-
-
 def cmd_asm(args) -> int:
     if args.action == "count":
         print(count_asms(args.size, cap=args.cap))
@@ -208,7 +203,7 @@ def cmd_asm(args) -> int:
         total = 0
         for asm in enumerate_asms(args.size, cap=args.cap):
             total += 1
-            print(_sketch(asm))
+            print(sketch(asm))
         print("total: %d" % total)
         return 0
     if args.action == "stats":
@@ -218,7 +213,7 @@ def cmd_asm(args) -> int:
             stats = asm_stats(asm)
             print(
                 "%s  inversions=%d negatives=%d exponent=%d"
-                % (_sketch(asm), stats.inversions, stats.negatives, stats.plus_exponent)
+                % (sketch(asm), stats.inversions, stats.negatives, stats.plus_exponent)
             )
         print("total: %d" % total)
         return 0
@@ -227,7 +222,7 @@ def cmd_asm(args) -> int:
     value, minimizer = min_region_sum(args.size, cells, cap=args.cap)
     print("cells: %d" % len(cells))
     print("minimum sum over all size-%d matrices: %d" % (args.size, value))
-    print("minimizer: %s" % _sketch(minimizer))
+    print("minimizer: %s" % sketch(minimizer))
     return 0
 
 

@@ -228,7 +228,10 @@ class LaurentPoly:
         quotient is built t-slice by t-slice: at each step the lowest
         remaining t-slice of the remainder is divided (exactly, as a
         univariate polynomial in l) by the divisor's lowest slice.  The
-        remainder reaching zero is the proof of exactness.
+        remainder reaching zero is the proof of exactness.  Q[l] has no
+        zero divisors, so t-spans (max minus min t-exponent) add under
+        multiplication: an exact quotient spans exactly t_span, and a
+        slice past it proves the division inexact.
         """
         rhs = self._coerce(other)
         if rhs is None or not isinstance(rhs, LaurentPoly):
@@ -239,6 +242,7 @@ class LaurentPoly:
             return ZERO
         num_shift = self.min_t_exp()
         den_shift = rhs.min_t_exp()
+        t_span = (self.max_t_exp() - num_shift) - (rhs.max_t_exp() - den_shift)
         den = {key - den_shift: coeff for key, coeff in rhs._terms.items()}
         low = _slice_at(den, 0)
         remainder = {key - num_shift: coeff for key, coeff in self._terms.items()}
@@ -247,6 +251,8 @@ class LaurentPoly:
             t_min = min(_unpack(key)[1] for key in remainder)
             if t_min < 0:
                 raise InexactDivision("remainder drops below divisor's t-range")
+            if t_min > t_span:
+                raise InexactDivision("quotient exceeds the t-span %d" % t_span)
             q_slice = _div_l_poly(_slice_at(remainder, t_min), low)
             for l_exp, coeff in enumerate(q_slice):
                 if not coeff:

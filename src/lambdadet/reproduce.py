@@ -23,11 +23,12 @@ from typing import Callable, Iterable
 
 from .asm import (
     complement_cells,
-    enumerate_asms,
     expanded_term_count,
     lambda_det_sum,
     mask_cells,
-    region_sum,
+    min_region_sum,
+    region_sum_counts,
+    sketch,
 )
 from .condensation import (
     Pyramid,
@@ -221,11 +222,6 @@ def check_polynomiality(session: ReproductionSession) -> tuple[bool, str]:
     return True, "all %d perturbed pyramid values are polynomial in t" % values
 
 
-def _asm_sketch(asm) -> str:
-    symbols = {0: ".", 1: "+", -1: "-"}
-    return "/".join("".join(symbols[b] for b in row) for row in asm)
-
-
 def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
     patterns = {
         2: diamond_even(1), 4: diamond_even(2), 6: diamond_even(3),
@@ -236,23 +232,16 @@ def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
     for size in sorted(patterns):
         pattern = patterns[size]
         mask = mask_cells(pattern)
-        holes = complement_cells(pattern)
-        worst: tuple[int, tuple] | None = None
-        negatives = 0
-        for asm in enumerate_asms(size):
-            scanned += 1
-            value = region_sum(asm, mask)
-            if value < 0:
-                negatives += 1
-                if worst is None or value < worst[0]:
-                    worst = (value, asm)
-            if region_sum(asm, holes) < 0:
-                failures.append("complement sum goes negative at size %d" % size)
-                break
-        if worst is not None:
+        counts = region_sum_counts(size, mask)
+        scanned += sum(counts.values())
+        if min_region_sum(size, complement_cells(pattern))[0] < 0:
+            failures.append("complement sum goes negative at size %d" % size)
+        negatives = sum(count for value, count in counts.items() if value < 0)
+        if negatives:
+            value, witness = min_region_sum(size, mask)
             failures.append(
                 "size-%d diamond sum reaches %d on %d matrices, e.g. %s"
-                % (size, worst[0], negatives, _asm_sketch(worst[1]))
+                % (size, value, negatives, sketch(witness))
             )
     # A window restriction of a diamond pattern is itself a pattern for
     # matrices of the window's size, and keeps the non-negativity.
@@ -270,11 +259,8 @@ def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
                     local_patterns.setdefault(k, set()).add(local)
     window_count = sum(len(pats) for pats in local_patterns.values())
     for k, pats in sorted(local_patterns.items()):
-        for asm in enumerate_asms(k):
-            for cells in pats:
-                if region_sum(asm, cells) < 0:
-                    failures.append("a %d-by-%d window pattern sums negative" % (k, k))
-                    break
+        if any(min_region_sum(k, cells)[0] < 0 for cells in pats):
+            failures.append("a %d-by-%d window pattern sums negative" % (k, k))
     if failures:
         return False, "; ".join(failures)
     return True, (
@@ -325,6 +311,17 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+    def line(self) -> str:
+        """The report line: ``check N/14 PASS|FAIL  name  seconds  detail``."""
+        return "check %2d/%d %s  %-33s %6.2fs  %s" % (
+            self.number,
+            len(CHECKS),
+            "PASS" if self.passed else "FAIL",
+            self.name,
+            self.seconds,
+            self.detail,
+        )
 
 
 CHECKS: tuple[tuple[str, Callable[[ReproductionSession], tuple[bool, str]]], ...] = (
@@ -379,15 +376,5 @@ def run_all(
         result = run_check(number, session)
         results.append(result)
         if writer is not None:
-            writer(
-                "check %2d/%d %s  %-33s %6.2fs  %s"
-                % (
-                    result.number,
-                    len(CHECKS),
-                    "PASS" if result.passed else "FAIL",
-                    result.name,
-                    result.seconds,
-                    result.detail,
-                )
-            )
+            writer(result.line())
     return results

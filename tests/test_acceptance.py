@@ -15,7 +15,7 @@ import pytest
 
 from lambdadet.asm import is_asm, mask_cells, region_sum
 from lambdadet.matrices import diamond_odd
-from lambdadet.reproduce import CHECKS, ReproductionSession, run_check
+from lambdadet.reproduce import ReproductionSession, run_check
 
 SIZE_SEVEN_FINDING = "size-7 diamond sum reaches -1 on 112 matrices, e.g. "
 
@@ -26,14 +26,7 @@ def session():
 
 
 def report(result) -> str:
-    line = "check %2d/%d %s  %-33s %6.2fs  %s" % (
-        result.number,
-        len(CHECKS),
-        "PASS" if result.passed else "FAIL",
-        result.name,
-        result.seconds,
-        result.detail,
-    )
+    line = result.line()
     print(line)
     return line
 

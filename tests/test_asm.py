@@ -22,6 +22,7 @@ from lambdadet.asm import (
     mask_cells,
     min_region_sum,
     region_sum,
+    region_sum_counts,
     resolve_cap,
     window_cells,
 )
@@ -33,6 +34,7 @@ from lambdadet.matrices import (
     diamond_even,
     diamond_odd,
     ones_matrix,
+    random_monomial_matrix,
 )
 
 
@@ -257,3 +259,60 @@ class TestRegionSums:
         mask = mask_cells(diamond_odd(3))
         assert region_sum(witness, mask) == -1
         assert region_sum(witness, complement_cells(diamond_odd(3))) == 8
+
+
+class TestProfileFoldAgainstEnumeration:
+    """The profile folds against sums built here from enumerate_asms."""
+
+    @staticmethod
+    def enumerated_lambda_sum(matrix: PolyMatrix) -> LaurentPoly:
+        total = LaurentPoly.const(0)
+        for asm in enumerate_asms(matrix.size):
+            inversions, negatives = reference_stats(asm)
+            term = LAM ** (inversions - negatives) * ONE_PLUS_LAM**negatives
+            for i, row in enumerate(asm):
+                for j, b in enumerate(row):
+                    coeff, l_exp, t_exp = matrix.rows[i][j].as_monomial()
+                    assert l_exp == 0
+                    term = term * LaurentPoly.monomial(
+                        Fraction(coeff) ** b, 0, t_exp * b
+                    )
+            total = total + term
+        return total
+
+    def test_lambda_det_sum_on_random_monomial_matrices(self):
+        rng = Random(20041017)
+        for n in (1, 2, 3, 4, 4, 5, 5, 5):
+            matrix = random_monomial_matrix(n, rng)
+            assert lambda_det_sum(matrix) == self.enumerated_lambda_sum(matrix)
+
+    def test_expanded_term_count(self):
+        for n in range(1, 7):
+            expected = sum(2 ** reference_stats(asm)[1] for asm in enumerate_asms(n))
+            assert expanded_term_count(n) == expected
+
+    def test_region_sums_on_random_cell_sets(self):
+        rng = Random(7)
+        for n in (1, 2, 3, 4, 5, 6, 6):
+            grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            cells = frozenset(rng.sample(grid, rng.randint(0, len(grid))))
+            histogram: dict[int, int] = {}
+            for asm in enumerate_asms(n):
+                value = sum(asm[i - 1][j - 1] for (i, j) in cells)
+                histogram[value] = histogram.get(value, 0) + 1
+            assert region_sum_counts(n, cells) == histogram
+            value, witness = min_region_sum(n, cells)
+            assert value == min(histogram)
+            assert reference_is_asm(witness)
+            assert sum(witness[i - 1][j - 1] for (i, j) in cells) == value
+
+    def test_size_seven_histogram_records_the_negative_sum(self):
+        counts = region_sum_counts(7, mask_cells(diamond_odd(3)))
+        assert min(counts) == -1 and counts[-1] == 112
+        assert sum(counts.values()) == 218348
+
+    def test_cells_outside_the_matrix_are_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            min_region_sum(3, [(4, 1)])
+        with pytest.raises(ValueError, match="outside"):
+            region_sum_counts(3, [(0, 2)])

@@ -204,6 +204,13 @@ class TestAsm:
         assert "minimum sum over all size-3 matrices: -1" in out
         assert "minimizer: .+./+-+/.+." in out
 
+    def test_region_sum_refuses_cells_outside_the_matrix(self, capsys):
+        code, _, err = run(
+            capsys, "asm", "region-sum", "--size", "3", "--cells", "[[0, 2]]"
+        )
+        assert code == 1
+        assert "outside the 3-by-3 matrix" in err
+
 
 class TestTilingCommands:
     def test_square_count(self, capsys):

@@ -82,26 +82,16 @@ def _admissible_rows(profile: int, n: int) -> list[tuple[int, ...]]:
 
 def enumerate_asms(n: int, cap: int | None = None) -> Iterator[ASM]:
     """Yield every n-by-n alternating-sign matrix (CapExceeded past the cap)."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    check_cap(n, cap)
-    rows_cache: dict[int, list[tuple[int, ...]]] = {}
+    table = _table(n, cap)
     acc: list[tuple[int, ...]] = []
 
     def descend(profile: int, depth: int) -> Iterator[ASM]:
         if depth == n:
             yield tuple(acc)
             return
-        rows = rows_cache.get(profile)
-        if rows is None:
-            rows = rows_cache[profile] = _admissible_rows(profile, n)
-        for row in rows:
-            mask = profile
-            for j, b in enumerate(row):
-                if b:
-                    mask ^= 1 << j
+        for row, nxt, _inv, _neg in table[profile]:
             acc.append(row)
-            yield from descend(mask, depth + 1)
+            yield from descend(nxt, depth + 1)
             acc.pop()
 
     yield from descend(0, 0)

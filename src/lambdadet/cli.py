@@ -147,15 +147,14 @@ def cmd_det(args) -> int:
 def cmd_det_numeric(args) -> int:
     matrix = _load_matrix(args)
     lam = parse_rational(args.lam)
-    pyramid = numeric_pyramid(matrix, lam, zero_over_zero=args.zero_over_zero)
-    print(pyramid.top)
+    print(numeric_pyramid(matrix, lam).top)
     return 0
 
 
 def cmd_trace(args) -> int:
     matrix = _load_matrix(args)
     lam = parse_rational(args.lam)
-    pyramid = numeric_pyramid(matrix, lam, zero_over_zero=not args.strict)
+    pyramid = numeric_pyramid(matrix, lam)
     for k in range(1, pyramid.size + 1):
         print("layer %d:" % k)
         for row in pyramid.layer(k):
@@ -308,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; all computation is single-threaded",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     det = commands.add_parser(
@@ -328,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_matrix_arguments(num)
     num.add_argument("--lam", default="1", help="value of l (default 1)")
-    num.add_argument(
-        "--zero-over-zero",
-        action="store_true",
-        help="read indeterminate 0/0 steps as 0",
-    )
     num.set_defaults(func=cmd_det_numeric)
 
     trace = commands.add_parser(
@@ -340,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_matrix_arguments(trace)
     trace.add_argument("--lam", default="1", help="value of l (default 1)")
-    trace.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on 0/0 instead of reading it as 0",
-    )
     trace.set_defaults(func=cmd_trace)
 
     eq2 = commands.add_parser(

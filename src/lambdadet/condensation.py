@@ -11,9 +11,11 @@ Two engines share one driver.  The symbolic engine works over the exact
 ring with l as a variable; divisions must be exact there, and a divisor
 that is identically zero stops the recurrence (ZeroMinor).  The numeric
 engine takes a constant matrix and a rational value of l; a vanishing
-divisor under a nonzero numerator is a genuine breakdown, while 0/0 can
-optionally be read as 0, the convention under which the recurrence
-reaches the answer that the summation formula gives directly.
+divisor under a nonzero numerator is a genuine breakdown.  A 0/0 step is
+not guessed.  For a matrix with zero entries the numeric engine reruns
+the driver on the perturbed matrix (each zero replaced by t) over
+Q[t, 1/t] at that l and takes t -> 0.  That is perturbed_det's pipeline
+with l fixed, so the two engines agree on the limit.
 
 A matrix and its transpose share the same pyramid up to reflection, so
 for symmetric input each layer is computed above the diagonal only and
@@ -112,25 +114,28 @@ def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
     return symbolic_pyramid(matrix).top
 
 
-def numeric_pyramid(
-    matrix: PolyMatrix, lam_value: Rational, zero_over_zero: bool = False
-) -> Pyramid:
+_KEEP_L_SYMBOLIC = "`lambdadet det --eval` keeps l symbolic"
+
+
+def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
     """Pyramid of exact rational values at a fixed l.
 
-    With zero_over_zero the indeterminate steps are read as 0; without it
-    they raise IndeterminateForm.  A nonzero numerator over a zero divisor
-    always raises CondensationBreakdown.
+    A nonzero numerator over a zero divisor raises CondensationBreakdown.
+    A 0/0 step in a matrix with zero entries is resolved exactly: the
+    recurrence reruns with every zero perturbed to t, over Q[t, 1/t] at
+    this l, and each entry is its t -> 0 limit (PoleAtZero if there is
+    none).  A 0/0 that this cannot resolve, because the matrix has no
+    zero entry or a divisor of the rerun vanishes for every t, raises
+    IndeterminateForm.
     """
 
     def divide(numerator, divisor, k: int, i: int, j: int):
         if divisor == 0:
             where = "the %d-by-%d window at (%d, %d)" % (k, k, i, j)
             if numerator == 0:
-                if zero_over_zero:
-                    return 0
                 raise IndeterminateForm(
-                    "0/0 while condensing %s; enable the 0/0 -> 0 convention "
-                    "to push through" % where
+                    "0/0 at l = %s while condensing %s; %s"
+                    % (lam_value, where, _KEEP_L_SYMBOLIC)
                 )
             raise CondensationBreakdown(
                 "nonzero numerator over a zero minor while condensing %s" % where
@@ -141,7 +146,30 @@ def numeric_pyramid(
     base = matrix.constant_entries()
     if isinstance(lam_value, Fraction) and lam_value.denominator == 1:
         lam_value = lam_value.numerator
-    return _condense(base, lam_value, divide, symmetric=matrix.is_symmetric())
+    symmetric = matrix.is_symmetric()
+    try:
+        return _condense(base, lam_value, divide, symmetric)
+    except IndeterminateForm:
+        if not matrix.has_zero_entry():
+            raise
+    try:
+        perturbed = _condense(
+            matrix.perturb_zeros().rows,
+            LaurentPoly.const(lam_value),
+            _divide_symbolic,
+            symmetric,
+        )
+    except ZeroMinor as exc:
+        raise IndeterminateForm(
+            "0/0 at l = %s persists with zeros perturbed to t: %s; %s"
+            % (lam_value, exc, _KEEP_L_SYMBOLIC)
+        ) from exc
+    return Pyramid(
+        tuple(
+            tuple(tuple(v.limit_t0().eval_at(lam_value) for v in row) for row in layer)
+            for layer in perturbed.layers
+        )
+    )
 
 
 @dataclass(frozen=True)

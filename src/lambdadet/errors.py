@@ -42,15 +42,11 @@ class ZeroMinor(LambdaDetError):
 
 
 class IndeterminateForm(LambdaDetError):
-    """The numeric recurrence hit 0/0 with the convention flag off."""
+    """The numeric recurrence hit a 0/0 that perturbing zeros cannot resolve."""
 
 
 class CondensationBreakdown(LambdaDetError):
     """The numeric recurrence hit x/0 with x nonzero."""
-
-
-class CellNotInRegion(LambdaDetError):
-    """A cell scheduled for removal is not part of the region."""
 
 
 class WidthExceeded(LambdaDetError):

@@ -67,17 +67,6 @@ class PolyMatrix:
             )
         )
 
-    def all_constant(self) -> bool:
-        """True when every entry is a rational constant."""
-        for row in self.rows:
-            for cell in row:
-                if cell.is_zero():
-                    continue
-                mono = cell.as_monomial()
-                if mono is None or mono[1:] != (0, 0):
-                    return False
-        return True
-
     def constant_entries(self) -> list[list[Rational]]:
         """Entries as rationals; SizeMismatch if any entry is non-constant."""
         out: list[list[Rational]] = []

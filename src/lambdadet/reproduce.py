@@ -101,7 +101,7 @@ def check_diamond_8x8(session: ReproductionSession) -> tuple[bool, str]:
 
 
 def check_pyramid_trace(session: ReproductionSession) -> tuple[bool, str]:
-    pyramid = numeric_pyramid(diamond_even(2), 1, zero_over_zero=True)
+    pyramid = numeric_pyramid(diamond_even(2), 1)
     expected = {
         2: ((1, 2, 1), (2, 2, 2), (1, 2, 1)),
         3: ((6, 6), (6, 6)),
@@ -117,12 +117,12 @@ def check_trimmed_regions(session: ReproductionSession) -> tuple[bool, str]:
     corner = square_region(4) - {(1, 1), (1, 2), (2, 1)} - {(1, 3), (1, 4), (2, 4)}
     if count_tilings(corner) != 6:
         return False, "corner-trimmed square counts %d" % count_tilings(corner)
-    pyramid = numeric_pyramid(diamond_even(2), 1, zero_over_zero=True)
+    pyramid = numeric_pyramid(diamond_even(2), 1)
     if any(value != 6 for row in pyramid.layer(3) for value in row):
         return False, "3-by-3 window values of the 4-by-4 diamond are not all 6"
     checked = 0
     for big_n, size in ((2, 4), (3, 6)):
-        pyramid = numeric_pyramid(diamond_even(big_n), 1, zero_over_zero=True)
+        pyramid = numeric_pyramid(diamond_even(big_n), 1)
         for k in range(1, size + 1):
             for i in range(1, size - k + 2):
                 for j in range(1, size - k + 2):
@@ -139,7 +139,7 @@ def check_trimmed_regions(session: ReproductionSession) -> tuple[bool, str]:
 def check_square_agreement(session: ReproductionSession) -> tuple[bool, str]:
     for n in range(1, 7):
         oracle = count_tilings(square_region(2 * n))
-        numeric = numeric_pyramid(diamond_even(n), 1, zero_over_zero=True).top
+        numeric = numeric_pyramid(diamond_even(n), 1).top
         via_limit = session.even_det(n).limit_t0().eval_at(1)
         if not (oracle == numeric == via_limit):
             return False, "n=%d: oracle %s, numeric %s, symbolic %s" % (
@@ -271,7 +271,7 @@ def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
 
 def check_odd_diamonds(session: ReproductionSession) -> tuple[bool, str]:
     for n in range(1, 5):
-        top = numeric_pyramid(diamond_odd(n), 1, zero_over_zero=True).top
+        top = numeric_pyramid(diamond_odd(n), 1).top
         squares = count_tilings(square_region(2 * n))
         if top != squares:
             return False, "odd order %d gives %s, square has %s" % (n, top, squares)

@@ -184,10 +184,6 @@ def matching_sum_brute(
     return recurse(frozenset(cells))
 
 
-def count_matchings_brute(cells: Region) -> int:
-    return matching_sum_brute(cells)
-
-
 # -- the window-to-region correspondence --------------------------------
 
 

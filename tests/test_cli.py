@@ -76,18 +76,12 @@ class TestNumericAndTrace:
         assert code == 1
         assert "IndeterminateForm" in err
 
-    def test_convention_flag_pushes_through(self, capsys):
+    def test_indeterminate_step_resolves_to_the_exact_limit(self, capsys):
         code, out, _ = run(
-            capsys,
-            "det-numeric",
-            "--size-from",
-            "ones:4",
-            "--lam",
-            "-1",
-            "--zero-over-zero",
+            capsys, "det-numeric", "--size-from", "diamond:even:4", "--lam", "-2"
         )
         assert code == 0
-        assert out.strip() == "0"
+        assert out.strip() == "-1313216"
 
     def test_numeric_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "det-numeric", "--size-from", "mc:1")
@@ -104,9 +98,14 @@ class TestNumericAndTrace:
         assert "6 6" in lines
         assert lines[-1] == "36"
 
+    def test_trace_of_the_eight_by_eight_diamond(self, capsys):
+        code, out, _ = run(capsys, "trace", "--size-from", "diamond:even:4")
+        assert code == 0
+        assert out.splitlines()[-1].strip() == "12988816"
+
     def test_strict_trace_fails_on_indeterminate_step(self, capsys):
         code, _, err = run(
-            capsys, "trace", "--size-from", "diamond:even:4", "--strict"
+            capsys, "trace", "--size-from", "ones:4", "--lam", "-1"
         )
         assert code == 1
         assert "IndeterminateForm" in err

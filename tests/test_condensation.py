@@ -76,7 +76,7 @@ class TestFixtures:
             assert lambda_det(ones_matrix(n)) == ONE_PLUS_LAM ** (n * (n - 1) // 2)
 
     def test_four_by_four_diamond_layers(self):
-        pyramid = numeric_pyramid(diamond_even(2), 1, zero_over_zero=True)
+        pyramid = numeric_pyramid(diamond_even(2), 1)
         assert pyramid.layer(2) == ((1, 2, 1), (2, 2, 2), (1, 2, 1))
         assert pyramid.layer(3) == ((6, 6), (6, 6))
         assert pyramid.layer(4) == ((36,),)
@@ -187,6 +187,43 @@ class TestPerturbationPipeline:
             perturbed_det(matrix)
 
 
+class TestNumericZeroOverZero:
+    """A 0/0 in a matrix with zeros reruns the perturbed recurrence at the
+    given l; the oracle is the bivariate pipeline evaluated after t -> 0."""
+
+    def test_entries_equal_the_symbolic_limit(self):
+        for matrix in [diamond_even(n) for n in (1, 2, 3, 4)] + [
+            diamond_odd(n) for n in (1, 2, 3)
+        ]:
+            symbolic = symbolic_pyramid(matrix.perturb_zeros())
+            for lam in (1, -2, 2, Fraction(1, 2)):
+                numeric = numeric_pyramid(matrix, lam)
+                for k in range(1, matrix.size + 1):
+                    span = matrix.size - k + 1
+                    for i in range(1, span + 1):
+                        for j in range(1, span + 1):
+                            expected = symbolic.value(k, i, j).limit_t0().eval_at(lam)
+                            assert numeric.value(k, i, j) == expected
+
+    def test_exact_limits_at_minus_two(self):
+        assert numeric_pyramid(diamond_even(4), -2).top == -1313216
+        assert numeric_pyramid(diamond_odd(3), -2).top == 2624
+
+    def test_unresolved_indeterminate_step_raises(self):
+        # At l = -1 a divisor of the perturbed rerun vanishes for every t.
+        with pytest.raises(IndeterminateForm, match="det --eval"):
+            numeric_pyramid(diamond_even(2), -1)
+
+    def test_pole_propagates(self):
+        matrix = PolyMatrix.from_rows(
+            [[2, 0, -1, 0], [1, 0, 0, 0], [2, -1, 0, 1], [2, 0, 1, 2]]
+        )
+        with pytest.raises(PoleAtZero):
+            perturbed_det(matrix)
+        with pytest.raises(PoleAtZero):
+            numeric_pyramid(matrix, 1)
+
+
 class TestFailureModes:
     def test_zero_minor_stops_symbolic_condensation(self):
         # The order-3 diamond happens to keep its zeros off the divisor
@@ -198,7 +235,6 @@ class TestFailureModes:
     def test_numeric_indeterminate_and_convention(self):
         with pytest.raises(IndeterminateForm):
             numeric_pyramid(ones_matrix(4), -1)
-        assert numeric_pyramid(ones_matrix(4), -1, zero_over_zero=True).top == 0
 
     def test_numeric_breakdown_on_nonzero_over_zero(self):
         matrix = PolyMatrix.from_rows(

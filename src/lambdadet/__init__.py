@@ -37,6 +37,7 @@ from .errors import (
     CapExceeded,
     CondensationBreakdown,
     DivisionByZero,
+    ExponentOverflow,
     IndeterminateForm,
     InexactDivision,
     LambdaDetError,

@@ -274,33 +274,35 @@ def expanded_term_count(matrix_size: int, cap: int | None = None) -> int:
 # -- masked partial sums ------------------------------------------------
 
 
-def mask_cells(matrix: PolyMatrix) -> frozenset[tuple[int, int]]:
-    """1-based positions of the nonzero entries of a 0/1 pattern matrix."""
+def _pattern_cells(matrix: PolyMatrix, nonzero: bool) -> frozenset[tuple[int, int]]:
     return frozenset(
         (i + 1, j + 1)
         for i, row in enumerate(matrix.rows)
         for j, cell in enumerate(row)
-        if not cell.is_zero()
+        if cell.is_zero() != nonzero
     )
+
+
+def mask_cells(matrix: PolyMatrix) -> frozenset[tuple[int, int]]:
+    """1-based positions of the nonzero entries of a 0/1 pattern matrix."""
+    return _pattern_cells(matrix, nonzero=True)
 
 
 def complement_cells(matrix: PolyMatrix) -> frozenset[tuple[int, int]]:
     """1-based positions of the zero entries of a 0/1 pattern matrix."""
-    return frozenset(
-        (i + 1, j + 1)
-        for i, row in enumerate(matrix.rows)
-        for j, cell in enumerate(row)
-        if cell.is_zero()
-    )
+    return _pattern_cells(matrix, nonzero=False)
 
 
 def window_cells(
     cells: frozenset[tuple[int, int]], i0: int, j0: int, k: int
 ) -> frozenset[tuple[int, int]]:
-    """Intersection of a cell set with the k-by-k window whose top left
-    corner is (i0, j0), 1-based."""
+    """The cells inside the k-by-k window whose top left corner is
+    (i0, j0), re-based so that corner becomes (1, 1): a pattern for
+    k-by-k matrices."""
     return frozenset(
-        (i, j) for (i, j) in cells if i0 <= i < i0 + k and j0 <= j < j0 + k
+        (i - i0 + 1, j - j0 + 1)
+        for (i, j) in cells
+        if i0 <= i < i0 + k and j0 <= j < j0 + k
     )
 
 

@@ -51,6 +51,7 @@ from .tilings import (
     matching_sum,
     random_edge_weights,
     rectangle_region,
+    region_edges,
     region_from_cells,
     square_region,
     tfk_count,
@@ -235,12 +236,22 @@ def cmd_tile(args) -> int:
     if args.weights:
         try:
             triples = json.loads(args.weights)
-            weights = {
-                edge_key((int(a), int(b)), (int(c), int(d))): parse_rational(w)
+            pairs = [
+                (edge_key((int(a), int(b)), (int(c), int(d))), parse_rational(w))
                 for (a, b), (c, d), w in triples
-            }
+            ]
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise SizeMismatch("could not read weights JSON: %s" % exc)
+        edges = set(region_edges(cells))
+        weights = {}
+        for edge, w in pairs:
+            if edge not in edges:
+                raise SizeMismatch(
+                    "weight on %s-%s, which is not an edge of the region" % edge
+                )
+            if edge in weights:
+                raise SizeMismatch("edge %s-%s is weighted twice" % edge)
+            weights[edge] = w
         print("cells: %d" % len(cells))
         print("weighted matching sum: %s" % matching_sum(cells, weights))
     else:

@@ -21,6 +21,10 @@ class InexactDivision(LambdaDetError):
     """Polynomial division left a nonzero remainder."""
 
 
+class ExponentOverflow(LambdaDetError, ValueError):
+    """A t-exponent left the range the packed exponent keys can hold."""
+
+
 class PoleAtZero(LambdaDetError):
     """A negative t-exponent survived where t had to be set to zero."""
 

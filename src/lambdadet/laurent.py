@@ -13,9 +13,14 @@ The pair (l_exp, t_exp) packs into the single integer
 so keys of a product add like exponent vectors and the inner loops of
 multiplication run on ints rather than tuples.  Coefficients are plain
 ints whenever the value is integral and fractions.Fraction otherwise,
-which keeps the all-integer condensation runs fast.  |t_exp| is bounded
-by STRIDE // 4 at construction; the bound is astronomically beyond what
-any supported computation produces.
+which keeps the all-integer condensation runs fast.  |t_exp| stays below
+STRIDE // 4: construction, products (and so powers) and the shifts of
+exact division check the t-range of their result, read off the operands'
+t-ranges, and raise ExponentOverflow rather than let a key wrap into the
+l-part.  A value finds its t-range once and keeps it, and products and
+quotients are built knowing theirs, so the check stays off the per-term
+path.  The bound is astronomically beyond what any supported computation
+produces.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DivisionByZero, InexactDivision, PoleAtZero
+from .errors import DivisionByZero, ExponentOverflow, InexactDivision, PoleAtZero
 
 STRIDE = 1 << 24
 _HALF = STRIDE >> 1
@@ -33,11 +38,18 @@ _T_LIMIT = STRIDE >> 2
 Rational = int | Fraction
 
 
+def _check_t_range(low: int, high: int) -> None:
+    if low <= -_T_LIMIT or high >= _T_LIMIT:
+        raise ExponentOverflow(
+            "t-exponents %d..%d leave the packed range (-%d, %d)"
+            % (low, high, _T_LIMIT, _T_LIMIT)
+        )
+
+
 def _pack(l_exp: int, t_exp: int) -> int:
     if l_exp < 0:
         raise ValueError("negative l-exponent %d" % l_exp)
-    if not -_T_LIMIT < t_exp < _T_LIMIT:
-        raise ValueError("t-exponent %d out of range" % t_exp)
+    _check_t_range(t_exp, t_exp)
     return l_exp * STRIDE + t_exp
 
 
@@ -57,7 +69,7 @@ def _as_coeff(value: Rational) -> Rational:
 class LaurentPoly:
     """Immutable sparse polynomial in Q[l][t, 1/t]."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_t_bounds")
 
     def __init__(self, terms: Iterable[tuple[Rational, int, int]] = ()):
         data: dict[int, Rational] = {}
@@ -71,12 +83,16 @@ class LaurentPoly:
                 data.pop(key, None)
         self._terms = data
         self._hash: int | None = None
+        self._t_bounds: tuple[int, int] | None = None
 
     @classmethod
-    def _wrap(cls, data: dict[int, Rational]) -> "LaurentPoly":
+    def _wrap(
+        cls, data: dict[int, Rational], t_bounds: tuple[int, int] | None = None
+    ) -> "LaurentPoly":
         poly = cls.__new__(cls)
         poly._terms = data
         poly._hash = None
+        poly._t_bounds = t_bounds
         return poly
 
     @classmethod
@@ -108,16 +124,19 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def _t_range(self) -> tuple[int, int]:
+        """Smallest and largest t-exponent of a nonzero value, found once."""
+        if self._t_bounds is None:
+            offsets = [(key + _HALF) % STRIDE for key in self._terms]
+            self._t_bounds = (min(offsets) - _HALF, max(offsets) - _HALF)
+        return self._t_bounds
+
     def min_t_exp(self) -> int:
         """Smallest t-exponent present, 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return min(_unpack(key)[1] for key in self._terms)
+        return self._t_range()[0] if self._terms else 0
 
     def max_t_exp(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_unpack(key)[1] for key in self._terms)
+        return self._t_range()[1] if self._terms else 0
 
     def l_degree(self) -> int:
         if not self._terms:
@@ -184,6 +203,9 @@ class LaurentPoly:
         a, b = self._terms, rhs._terms
         if not a or not b:
             return ZERO
+        (low_a, high_a), (low_b, high_b) = self._t_range(), rhs._t_range()
+        t_bounds = (low_a + low_b, high_a + high_b)
+        _check_t_range(*t_bounds)
         if len(a) < len(b):
             a, b = b, a
         out: dict[int, Rational] = {}
@@ -192,7 +214,8 @@ class LaurentPoly:
             for ka, ca in a.items():
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
-        return LaurentPoly._wrap({k: c for k, c in out.items() if c})
+        # Q[l] has no zero divisors, so the extreme t-slices never cancel.
+        return LaurentPoly._wrap({k: c for k, c in out.items() if c}, t_bounds)
 
     __rmul__ = __mul__
 
@@ -240,9 +263,9 @@ class LaurentPoly:
             raise DivisionByZero("division by zero polynomial")
         if not self._terms:
             return ZERO
-        num_shift = self.min_t_exp()
-        den_shift = rhs.min_t_exp()
-        t_span = (self.max_t_exp() - num_shift) - (rhs.max_t_exp() - den_shift)
+        num_shift, num_top = self._t_range()
+        den_shift, den_top = rhs._t_range()
+        t_span = (num_top - num_shift) - (den_top - den_shift)
         den = {key - den_shift: coeff for key, coeff in rhs._terms.items()}
         low = _slice_at(den, 0)
         remainder = {key - num_shift: coeff for key, coeff in self._terms.items()}
@@ -267,9 +290,11 @@ class LaurentPoly:
                     else:
                         remainder.pop(key, None)
         shift = num_shift - den_shift
+        t_bounds = (shift, shift + t_span)
+        _check_t_range(*t_bounds)
         if shift:
             quotient = {key + shift: coeff for key, coeff in quotient.items()}
-        return LaurentPoly._wrap(quotient)
+        return LaurentPoly._wrap(quotient, t_bounds)
 
     def __truediv__(self, other) -> "LaurentPoly":
         return self.exact_div(other)

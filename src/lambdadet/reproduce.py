@@ -29,6 +29,7 @@ from .asm import (
     min_region_sum,
     region_sum_counts,
     sketch,
+    window_cells,
 )
 from .condensation import (
     Pyramid,
@@ -251,12 +252,9 @@ def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
         for k in range(1, size + 1):
             for i0 in range(1, size - k + 2):
                 for j0 in range(1, size - k + 2):
-                    local = frozenset(
-                        (a - i0 + 1, b - j0 + 1)
-                        for (a, b) in mask
-                        if i0 <= a < i0 + k and j0 <= b < j0 + k
+                    local_patterns.setdefault(k, set()).add(
+                        window_cells(mask, i0, j0, k)
                     )
-                    local_patterns.setdefault(k, set()).add(local)
     window_count = sum(len(pats) for pats in local_patterns.values())
     for k, pats in sorted(local_patterns.items()):
         if any(min_region_sum(k, cells)[0] < 0 for cells in pats):

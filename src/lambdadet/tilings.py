@@ -7,8 +7,9 @@ edges may carry rational weights, and the weight of a matching is the
 product of its edge weights (tiling counts are the all-ones case).
 
 Two evaluators are provided on purpose.  matching_sum sweeps the region
-cell by cell with a bitmask profile of covered cells along the frontier
-(so its work is roughly states x cells, fine up to width 24), while
+cell by cell with a bitmask profile of covered cells along the frontier.
+Its work is states x in-region cells, on int states (rational weights
+are cleared of denominators first), and it is fine up to width 24.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the
 sweep.  The Aztec-diamond families, their four-fold overlapping
@@ -92,7 +93,11 @@ def matching_sum(
 
     The bounding box must be at most MAX_PROFILE_WIDTH columns wide
     (WidthExceeded otherwise); a region taller than wide is swept
-    transposed, which leaves the answer unchanged.
+    transposed, which leaves the answer unchanged.  Every perfect
+    matching has len(cells) // 2 edges, so the weights are first scaled
+    by D, the lcm of their denominators: the sweep then carries ints
+    only, and the sum is sweep(D * w) / D ** (len(cells) // 2).  Edges
+    outside the region are ignored and do not enter D.
     """
     if not cells:
         return 1
@@ -105,48 +110,58 @@ def matching_sum(
             "most %d (transpose the region first)" % (width, MAX_PROFILE_WIDTH)
         )
     height = rows[-1] - rows[0] + 1
-    lookup = _weight_lookup(weights)
-    if width > height:
-        cells = frozenset((c, r) for (r, c) in cells)
-        original = lookup
-        lookup = lambda a, b: original((a[1], a[0]), (b[1], b[0]))
-        rows, columns = columns, rows
-        height, width = width, height
     r0, c0 = rows[0], columns[0]
     local = {(r - r0, c - c0) for (r, c) in cells}
+    transposed = width > height
+    if transposed:
+        local = {(c, r) for (r, c) in local}
+        height, width = width, height
+    lookup = _weight_lookup(weights)
 
-    def orig(r: int, c: int) -> Cell:
-        return (r + r0, c + c0)
+    def weight(r: int, c: int, r2: int, c2: int) -> Rational:
+        """Weight of the edge between local cells, 0 if it leaves the region."""
+        if (r2, c2) not in local:
+            return 0
+        if transposed:
+            r, c, r2, c2 = c, r, c2, r2
+        return lookup((r + r0, c + c0), (r2 + r0, c2 + c0))
 
-    states: dict[int, Rational] = {0: 1}
-    for r in range(height):
-        for c in range(width):
-            new: dict[int, Rational] = {}
-            inside = (r, c) in local
-            for mask, acc in states.items():
-                bit = mask >> c & 1
-                if not inside:
-                    if not bit:
-                        new[mask] = new.get(mask, 0) + acc
-                    continue
-                if bit:
-                    cleared = mask & ~(1 << c)
-                    new[cleared] = new.get(cleared, 0) + acc
-                    continue
-                if (r + 1, c) in local:
-                    below = mask | 1 << c
-                    w = lookup(orig(r, c), orig(r + 1, c))
-                    if w:
-                        new[below] = new.get(below, 0) + acc * w
-                if (r, c + 1) in local and not mask >> (c + 1) & 1:
-                    beside = mask | 1 << (c + 1)
-                    w = lookup(orig(r, c), orig(r, c + 1))
-                    if w:
-                        new[beside] = new.get(beside, 0) + acc * w
-            states = new
-            if not states:
-                return 0
-    return states.get(0, 0)
+    # One step per in-region cell: a cell outside the region never has its
+    # frontier bit set, so sweeping it would copy the states unchanged.
+    steps = [
+        (c, weight(r, c, r + 1, c), weight(r, c, r, c + 1))
+        for r in range(height)
+        for c in range(width)
+        if (r, c) in local
+    ]
+    scale = math.lcm(*(w.denominator for _, down, right in steps for w in (down, right)))
+    states: dict[int, int] = {0: 1}
+    for c, down, right in steps:
+        bit = 1 << c
+        next_bit = bit << 1
+        down = down.numerator * (scale // down.denominator)
+        right = right.numerator * (scale // right.denominator)
+        new: dict[int, int] = {}
+        get = new.get
+        for mask, acc in states.items():
+            if mask & bit:
+                cleared = mask ^ bit
+                new[cleared] = get(cleared, 0) + acc
+                continue
+            if down:
+                below = mask | bit
+                new[below] = get(below, 0) + acc * down
+            if right and not mask & next_bit:
+                beside = mask | next_bit
+                new[beside] = get(beside, 0) + acc * right
+        states = new
+        if not states:
+            return 0
+    total = states.get(0, 0)
+    if scale == 1:
+        return total
+    value = Fraction(total, scale ** (len(cells) // 2))
+    return value.numerator if value.denominator == 1 else value
 
 
 def count_tilings(cells: Region) -> int:

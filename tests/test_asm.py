@@ -221,6 +221,10 @@ class TestRegionSums:
         assert mask == {(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)}
         assert holes == {(1, 1), (1, 3), (3, 1), (3, 3)}
         assert window_cells(mask, 1, 1, 2) == {(1, 2), (2, 1), (2, 2)}
+        # Windows are re-based so their top left corner is (1, 1).
+        assert window_cells(mask, 2, 2, 2) == {(1, 1), (1, 2), (2, 1)}
+        assert window_cells(mask, 1, 2, 2) == {(1, 1), (2, 1), (2, 2)}
+        assert window_cells(mask, 1, 1, 3) == mask
 
     def test_minima_for_small_diamonds(self):
         cases = [

@@ -247,6 +247,36 @@ class TestTilingCommands:
         assert code == 0
         assert "weighted matching sum: 7/2" in out
 
+    def test_weight_on_a_non_edge_is_refused(self, capsys):
+        weights = json.dumps([[[1, 1], [2, 2], "5"]])
+        code, out, err = run(
+            capsys,
+            "tile",
+            "--cells",
+            "[[1,1],[1,2],[2,1],[2,2]]",
+            "--weights",
+            weights,
+        )
+        assert code == 1
+        assert out == ""
+        assert "SizeMismatch" in err
+        assert "(1, 1)-(2, 2)" in err
+
+    def test_repeated_edge_weight_is_refused(self, capsys):
+        weights = json.dumps([[[1, 1], [2, 1], "5"], [[2, 1], [1, 1], "7"]])
+        code, out, err = run(
+            capsys,
+            "tile",
+            "--cells",
+            "[[1,1],[1,2],[2,1],[2,2]]",
+            "--weights",
+            weights,
+        )
+        assert code == 1
+        assert out == ""
+        assert "SizeMismatch" in err
+        assert "(1, 1)-(2, 1)" in err
+
     def test_shape_or_cells_required(self, capsys):
         code, _, err = run(capsys, "tile")
         assert code == 1

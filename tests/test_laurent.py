@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lambdadet.errors import DivisionByZero, InexactDivision, PoleAtZero
+from lambdadet.errors import (
+    DivisionByZero,
+    ExponentOverflow,
+    InexactDivision,
+    PoleAtZero,
+)
 from lambdadet.laurent import (
     LAM,
     ONE,
@@ -93,6 +98,61 @@ class TestDivision:
 
     def test_truediv_operator(self):
         assert (ONE_PLUS_LAM**3) / ONE_PLUS_LAM == ONE_PLUS_LAM**2
+
+
+class TestExponentRange:
+    LIMIT = 1 << 22  # |t_exp| must stay below this
+
+    def test_product_past_the_packed_range_raises(self):
+        # Used to wrap silently into 1*l^1*t^-6777216.
+        with pytest.raises(ExponentOverflow):
+            (T_VAR**5_000_000) * (T_VAR**5_000_000)
+        half = LaurentPoly.monomial(1, 0, 3_000_000)
+        with pytest.raises(ExponentOverflow):
+            half * half
+        low = LaurentPoly.monomial(1, 0, -3_000_000)
+        with pytest.raises(ExponentOverflow):
+            low * (ONE + low)
+
+    def test_products_up_to_the_bound_are_exact(self):
+        top = self.LIMIT - 1
+        value = LaurentPoly.monomial(1, 0, top - 5) * (LAM + T_VAR**5)
+        assert value.max_t_exp() == top
+        assert value.coefficient(1, top - 5) == 1
+        assert T_VAR ** (self.LIMIT // 2) * T_VAR ** (self.LIMIT // 2 - 1) == (
+            LaurentPoly.monomial(1, 0, top)
+        )
+
+    def test_power_past_the_packed_range_raises(self):
+        with pytest.raises(ExponentOverflow):
+            T_VAR**self.LIMIT
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.monomial(1, 1, -1) ** self.LIMIT
+
+    def test_division_shift_past_the_packed_range_raises(self):
+        low = LaurentPoly.monomial(1, 0, -3_000_000)
+        high = LaurentPoly.monomial(1, 0, 3_000_000)
+        with pytest.raises(ExponentOverflow):
+            low.exact_div(high)
+        assert (low * LAM).exact_div(low) == LAM
+
+    @given(nonzero_polys, nonzero_polys)
+    def test_t_range_of_products_and_quotients(self, a, b):
+        def rebuilt(p):
+            return LaurentPoly((c, l, t) for l, t, c in p.terms())
+
+        for value in (a * b, (a * b).exact_div(b)):
+            fresh = rebuilt(value)
+            assert value.min_t_exp() == fresh.min_t_exp() == min(
+                t for _, t, _ in value.terms()
+            )
+            assert value.max_t_exp() == fresh.max_t_exp()
+
+    def test_construction_out_of_range_is_a_value_error(self):
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.monomial(1, 0, self.LIMIT)
+        with pytest.raises(ValueError):
+            LaurentPoly([(1, 0, -self.LIMIT)])
 
 
 class TestEvaluation:

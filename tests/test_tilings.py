@@ -119,6 +119,103 @@ class TestCounting:
         assert matching_sum(region) == matching_sum_brute(region)
 
 
+def asymmetric_weights(cells, rng):
+    """A distinct rational weight per edge, zeros and negatives included."""
+    return {
+        edge: Fraction(rng.randint(-4, 7), rng.randint(1, 9))
+        for edge in region_edges(cells)
+    }
+
+
+class TestIntegerStateSweep:
+    """The sweep clears denominators and carries int states; brute force
+    on the same weights is the oracle."""
+
+    @pytest.mark.parametrize("height, width", [(7, 3), (3, 7), (5, 4), (4, 5)])
+    def test_ragged_weighted_regions_match_brute(self, height, width):
+        rng = Random(412 + height)
+        box_edges = region_edges(rectangle_region(height, width))
+        nonzero = 0
+        for _ in range(12):
+            # A union of disjoint random dominoes: ragged, but tileable.
+            rng.shuffle(box_edges)
+            cells: set = set()
+            for a, b in box_edges:
+                if a not in cells and b not in cells and rng.random() < 0.8:
+                    cells |= {a, b}
+            cells = frozenset(cells)
+            weights = asymmetric_weights(cells, rng)
+            value = matching_sum(cells, weights)
+            assert value == matching_sum_brute(cells, weights)
+            nonzero += value != 0
+        assert nonzero >= 6
+
+    def test_weighted_aztec_five_at_the_brute_cap(self):
+        rng = Random(413)
+        cells = aztec_region(5)
+        assert len(cells) == 60
+        weights = {
+            edge: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+            for edge in region_edges(cells)
+        }
+        value = matching_sum(cells, weights)
+        assert value == matching_sum_brute(cells, weights)
+        assert isinstance(value, Fraction) and value.denominator > 1
+
+    def test_edges_outside_the_region_are_ignored(self):
+        cells = rectangle_region(4, 3)
+        weights = asymmetric_weights(cells, Random(414))
+        padded = dict(weights)
+        padded[edge_key((5, 1), (5, 2))] = Fraction(1, 10**40 + 7)
+        padded[edge_key((1, 3), (1, 4))] = Fraction(3, 2**61 - 1)
+        padded[edge_key((4, 3), (5, 3))] = Fraction(-7, 10**30)
+        assert matching_sum(cells, padded) == matching_sum(cells, weights)
+        assert matching_sum(cells, padded) == matching_sum_brute(cells, weights)
+
+    def test_integral_results_come_back_as_ints(self):
+        cells = square_region(2)
+        value = matching_sum(cells, {edge_key((1, 1), (1, 2)): Fraction(1, 2)})
+        assert value == Fraction(3, 2)
+        halves = {edge: Fraction(1, 2) for edge in region_edges(cells)}
+        value = matching_sum(cells, halves)
+        assert value == Fraction(1, 2) and isinstance(value, Fraction)
+        reciprocal = {
+            edge_key((1, 1), (1, 2)): Fraction(1, 2),
+            edge_key((2, 1), (2, 2)): Fraction(2),
+            edge_key((1, 1), (2, 1)): Fraction(3, 2),
+            edge_key((1, 2), (2, 2)): Fraction(2, 3),
+        }
+        value = matching_sum(cells, reciprocal)
+        assert value == 2 and type(value) is int
+
+    def test_odd_regions_sum_to_zero(self):
+        rng = Random(415)
+        for cells in (rectangle_region(3, 3), aztec_region(3) - {(1, 3)}):
+            assert len(cells) % 2 == 1
+            weights = asymmetric_weights(cells, rng)
+            assert matching_sum(cells, weights) == 0
+            assert matching_sum(cells) == 0
+
+    @given(
+        st.sets(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=0, max_size=12
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=7),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_every_weight_scales_the_sum(self, cells, factor, data):
+        region = frozenset(cells)
+        weights = {
+            edge: data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+            for edge in region_edges(region)
+        }
+        scaled = {edge: factor * w for edge, w in weights.items()}
+        expected = factor ** (len(region) // 2) * matching_sum_brute(region, weights)
+        assert matching_sum(region, scaled) == expected
+        assert matching_sum(region, weights) == matching_sum_brute(region, weights)
+
+
 class TestWindowRegions:
     def test_trimmed_diamond_is_a_translated_square(self):
         for n in range(1, 5):

@@ -9,12 +9,12 @@ the tool that turned up the first negative: at odd size 7 the
 diamond-masked sum reaches -1, while every size below 7 and the even
 size 8 stay non-negative; complements are provably non-negative at every
 size.  The minima come from profile folds, not from listing matrices, so
-`--max-size 11 --cap 11` runs in about a second and extends the table:
+`--max-size 11` runs in about a second and extends the table:
 the mask minima at sizes 8, 9, 10 and 11 are 0, -3, -2 and -5, so even
 size 10 is the first even size to go negative (-2), and every
 complement minimum is 0.
 
-Usage: python3 scripts/asm_partial_sum_scan.py [--max-size N] [--cap N]
+Usage: python3 scripts/asm_partial_sum_scan.py [--max-size N]
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ def diamond_pattern(size: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-size", type=int, default=7)
-    parser.add_argument(
-        "--cap", type=int, default=None, help="enumeration size cap override"
-    )
     args = parser.parse_args()
 
     header = "%4s %15s %10s %12s %9s" % (
@@ -55,16 +52,12 @@ def main() -> int:
     for size in range(2, args.max_size + 1):
         pattern = diamond_pattern(size)
         start = time.perf_counter()
-        mask_min, mask_argmin = min_region_sum(
-            size, mask_cells(pattern), cap=args.cap
-        )
-        comp_min, comp_argmin = min_region_sum(
-            size, complement_cells(pattern), cap=args.cap
-        )
+        mask_min, mask_argmin = min_region_sum(size, mask_cells(pattern))
+        comp_min, comp_argmin = min_region_sum(size, complement_cells(pattern))
         elapsed = time.perf_counter() - start
         print(
             "%4d %15d %10d %12d %9.2f"
-            % (size, count_asms(size, cap=args.cap), mask_min, comp_min, elapsed)
+            % (size, count_asms(size), mask_min, comp_min, elapsed)
         )
         if mask_min < 0:
             witnesses.append((size, mask_min, mask_argmin))

@@ -45,6 +45,7 @@ from .errors import (
     OrderExceeded,
     PoleAtZero,
     SizeMismatch,
+    TableTooLarge,
     WidthExceeded,
     ZeroMinor,
 )

@@ -15,9 +15,12 @@ minima and histograms) folds over at most 2^n profiles per row with one
 cached transition table per size.  Only enumerate_asms lists matrices;
 it serves `asm enumerate|stats` and is the oracle the tests hold the
 folds to.  Counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so
-enumeration and the folds refuse sizes above a cap: 7 by default,
-overridable via the LAMBDADET_CAP environment variable or an explicit
-argument.
+enumeration refuses sizes above a cap: 7 by default, overridable via the
+LAMBDADET_CAP environment variable or an explicit argument.  A fold
+costs its table, not the count: (3^n - 1)/2 transitions, so size 9
+(911835460 ASMs) folds in hundredths of a second.  The table is bounded
+by MAX_TRANSITIONS, which admits size 12 (about 1 s and 70 MB) and
+refuses size 13 with TableTooLarge.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, DivisionByZero, NonMonomialEntry
+from .errors import CapExceeded, DivisionByZero, NonMonomialEntry, TableTooLarge
 from .laurent import LAM, ONE, ONE_PLUS_LAM, LaurentPoly
 from .matrices import PolyMatrix
 
@@ -37,6 +40,7 @@ ASM = tuple[tuple[int, ...], ...]
 
 DEFAULT_CAP = 7
 CAP_ENV_VAR = "LAMBDADET_CAP"
+MAX_TRANSITIONS = (3**12 - 1) // 2
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -82,7 +86,8 @@ def _admissible_rows(profile: int, n: int) -> list[tuple[int, ...]]:
 
 def enumerate_asms(n: int, cap: int | None = None) -> Iterator[ASM]:
     """Yield every n-by-n alternating-sign matrix (CapExceeded past the cap)."""
-    table = _table(n, cap)
+    check_cap(n, cap)
+    table = _table(n)
     acc: list[tuple[int, ...]] = []
 
     def descend(profile: int, depth: int) -> Iterator[ASM]:
@@ -123,21 +128,29 @@ def _transitions(n: int) -> dict[int, tuple[Transition, ...]]:
     return table
 
 
-def _table(n: int, cap: int | None) -> dict[int, tuple[Transition, ...]]:
+def _table(n: int) -> dict[int, tuple[Transition, ...]]:
     if n < 1:
         raise ValueError("size must be positive")
-    check_cap(n, cap)
+    # Column by column, a (profile, row) pair keeps the row's running sum
+    # (either profile bit allows it) or flips it (one bit does), so the
+    # table holds entry (0, 1) of [[2, 1], [1, 2]]^n: (3^n - 1)/2 transitions.
+    size = (3**n - 1) // 2
+    if size > MAX_TRANSITIONS:
+        raise TableTooLarge(
+            "size %d needs %d profile transitions, beyond the limit %d"
+            % (n, size, MAX_TRANSITIONS)
+        )
     return _transitions(n)
 
 
-def _fold(n: int, cap: int | None, start, weight):
+def _fold(n: int, start, weight):
     """Sum over all n-by-n ASMs of start * prod_r weight(r, row, inv_r, neg_r).
 
     One accumulated value per profile, extended a row at a time.  Every
     transition is weighed, zero or not, so a weight that raises for some
     row raises whenever an ASM contains that row.
     """
-    table = _table(n, cap)
+    table = _table(n)
     states = {0: start}
     for r in range(n):
         new: dict = {}
@@ -149,9 +162,9 @@ def _fold(n: int, cap: int | None, start, weight):
     return states[(1 << n) - 1]
 
 
-def count_asms(n: int, cap: int | None = None) -> int:
-    """Number of n-by-n ASMs, by the profile fold (subject to the cap)."""
-    return _fold(n, cap, 1, lambda r, row, inv, neg: 1)
+def count_asms(n: int) -> int:
+    """Number of n-by-n ASMs, by the profile fold."""
+    return _fold(n, 1, lambda r, row, inv, neg: 1)
 
 
 def asm_count_formula(n: int) -> int:
@@ -233,7 +246,7 @@ def _invert_entry(value: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.monomial(Fraction(1, 1) / Fraction(coeff), 0, -t_exp)
 
 
-def lambda_det_sum(matrix: PolyMatrix, cap: int | None = None) -> LaurentPoly:
+def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
     """The summation formula: sum over ASMs B of l^P(B) (1+l)^N(B) M^B.
 
     M^B multiplies entry (i, j) with exponent b_ij, so entries hit by a
@@ -246,8 +259,13 @@ def lambda_det_sum(matrix: PolyMatrix, cap: int | None = None) -> LaurentPoly:
     """
     products: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
     powers: dict[tuple[int, int], LaurentPoly] = {}
+    weights: dict[tuple[int, tuple[int, ...], int, int], LaurentPoly] = {}
 
     def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
+        key = (r, row, inv, neg)
+        cached = weights.get(key)
+        if cached is not None:
+            return cached
         product = products.get((r, row))
         if product is None:
             product = ONE
@@ -260,15 +278,16 @@ def lambda_det_sum(matrix: PolyMatrix, cap: int | None = None) -> LaurentPoly:
         power = powers.get((inv - neg, neg))
         if power is None:
             power = powers[(inv - neg, neg)] = LAM ** (inv - neg) * ONE_PLUS_LAM**neg
-        return power * product
+        value = weights[key] = power * product
+        return value
 
-    return _fold(matrix.size, cap, ONE, weight)
+    return _fold(matrix.size, ONE, weight)
 
 
-def expanded_term_count(matrix_size: int, cap: int | None = None) -> int:
+def expanded_term_count(matrix_size: int) -> int:
     """Number of monomials when every (1+l)^N(B) factor is distributed out,
     i.e. the sum of 2^N(B) over all ASMs of the given size."""
-    return _fold(matrix_size, cap, 1, lambda r, row, inv, neg: 1 << neg)
+    return _fold(matrix_size, 1, lambda r, row, inv, neg: 1 << neg)
 
 
 # -- masked partial sums ------------------------------------------------
@@ -329,15 +348,13 @@ def _cells_by_row(n: int, cells: Iterable[tuple[int, int]]) -> list[list[int]]:
     return columns
 
 
-def min_region_sum(
-    n: int, cells: Iterable[tuple[int, int]], cap: int | None = None
-) -> tuple[int, ASM]:
+def min_region_sum(n: int, cells: Iterable[tuple[int, int]]) -> tuple[int, ASM]:
     """Minimum of region_sum over all n-by-n ASMs, with a minimizer.
 
     A min-plus fold over profiles that keeps one minimizing prefix of
     rows per profile.
     """
-    table = _table(n, cap)
+    table = _table(n)
     columns = _cells_by_row(n, cells)
     states: dict[int, tuple[int, ASM]] = {0: (0, ())}
     for r in range(n):
@@ -351,14 +368,12 @@ def min_region_sum(
     return states[(1 << n) - 1]
 
 
-def region_sum_counts(
-    n: int, cells: Iterable[tuple[int, int]], cap: int | None = None
-) -> dict[int, int]:
+def region_sum_counts(n: int, cells: Iterable[tuple[int, int]]) -> dict[int, int]:
     """How many n-by-n ASMs give each value of region_sum, by value.
 
     A counting fold over (profile, partial sum) states.
     """
-    table = _table(n, cap)
+    table = _table(n)
     columns = _cells_by_row(n, cells)
     states: dict[tuple[int, int], int] = {(0, 0): 1}
     for r in range(n):

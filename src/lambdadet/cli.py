@@ -166,7 +166,7 @@ def cmd_trace(args) -> int:
 def cmd_eq2(args) -> int:
     matrix = _load_matrix(args)
     work = matrix.perturb_zeros() if args.perturb else matrix
-    det = lambda_det_sum(work, cap=args.cap)
+    det = lambda_det_sum(work)
     _print_poly("determinant", det)
     _print_poly("limit t->0", det.limit_t0())
     if args.eval is not None:
@@ -197,7 +197,7 @@ def _asm_pattern(args) -> frozenset:
 
 def cmd_asm(args) -> int:
     if args.action == "count":
-        print(count_asms(args.size, cap=args.cap))
+        print(count_asms(args.size))
         return 0
     if args.action == "enumerate":
         total = 0
@@ -219,7 +219,7 @@ def cmd_asm(args) -> int:
         return 0
     # region-sum
     cells = _asm_pattern(args)
-    value, minimizer = min_region_sum(args.size, cells, cap=args.cap)
+    value, minimizer = min_region_sum(args.size, cells)
     print("cells: %d" % len(cells))
     print("minimum sum over all size-%d matrices: %d" % (args.size, value))
     print("minimizer: %s" % sketch(minimizer))
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arguments(eq2)
     eq2.add_argument("--eval", help="also evaluate the limit at this rational l")
     eq2.add_argument("--perturb", action="store_true", help="replace zeros by t first")
-    eq2.add_argument("--cap", type=int, default=None, help="enumeration size cap")
     eq2.set_defaults(func=cmd_eq2)
 
     diamond = commands.add_parser("diamond", help="print a diamond 0/1 matrix")
@@ -361,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=("count", "enumerate", "stats", "region-sum")
     )
     asm.add_argument("--size", type=int, required=True)
-    asm.add_argument("--cap", type=int, default=None, help="enumeration size cap")
+    asm.add_argument(
+        "--cap", type=int, default=None, help="enumerate, stats: enumeration size cap"
+    )
     asm.add_argument(
         "--cells", help="region-sum: explicit cell list as JSON [[r,c],...]"
     )

@@ -33,6 +33,10 @@ class CapExceeded(LambdaDetError):
     """An enumeration was requested beyond the configured safety cap."""
 
 
+class TableTooLarge(LambdaDetError):
+    """An ASM profile fold would need a transition table beyond its limit."""
+
+
 class SizeMismatch(LambdaDetError):
     """Two grid-shaped arguments have incompatible sizes."""
 

@@ -11,9 +11,15 @@ The pair (l_exp, t_exp) packs into the single integer
     key = l_exp * STRIDE + t_exp
 
 so keys of a product add like exponent vectors and the inner loops of
-multiplication run on ints rather than tuples.  Coefficients are plain
-ints whenever the value is integral and fractions.Fraction otherwise,
-which keeps the all-integer condensation runs fast.  |t_exp| stays below
+multiplication run on ints rather than tuples.  Coefficients are ints
+or fractions.Fraction.  Construction (the constructor, const, monomial,
+parse) and exact division store an integral coefficient as an int, and
+ints only ever combine into ints, which keeps the all-integer
+condensation runs fast.  Sums and products that involve a Fraction keep
+the type Python's arithmetic gives, so an integral coefficient can stay
+a Fraction there: const(Fraction(1, 2)) * 2 holds Fraction(1, 1).  Such
+a coefficient equals, hashes and prints like its int, so values compare
+and print the same either way.  |t_exp| stays below
 STRIDE // 4: construction, products (and so powers) and the shifts of
 exact division check the t-range of their result, read off the operands'
 t-ranges, and raise ExponentOverflow rather than let a key wrap into the

@@ -176,7 +176,7 @@ def check_aztec_counts(session: ReproductionSession) -> tuple[bool, str]:
 
 
 def check_engines_agree(session: ReproductionSession) -> tuple[bool, str]:
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         matrix = diamond_even(n).perturb_zeros()
         if session.even_det(n) != lambda_det_sum(matrix):
             return False, "diamond of size %d disagrees" % (2 * n)
@@ -186,7 +186,7 @@ def check_engines_agree(session: ReproductionSession) -> tuple[bool, str]:
         matrix = random_monomial_matrix(size, rng)
         if lambda_det(matrix) != lambda_det_sum(matrix):
             return False, "random matrix trial %d (size %d) disagrees" % (trial, size)
-    return True, "recurrence equals summation on diamonds <= 6 and 100 random matrices"
+    return True, "recurrence equals summation on diamonds <= 8 and 100 random matrices"
 
 
 def check_center_family(session: ReproductionSession) -> tuple[bool, str]:

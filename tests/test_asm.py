@@ -26,7 +26,13 @@ from lambdadet.asm import (
     resolve_cap,
     window_cells,
 )
-from lambdadet.errors import CapExceeded, DivisionByZero, NonMonomialEntry
+from lambdadet.errors import (
+    CapExceeded,
+    DivisionByZero,
+    LambdaDetError,
+    NonMonomialEntry,
+    TableTooLarge,
+)
 from lambdadet.laurent import LAM, ONE_PLUS_LAM, LaurentPoly, T_VAR
 from lambdadet.matrices import (
     PolyMatrix,
@@ -112,8 +118,8 @@ class TestEnumeration:
 
     def test_cap_enforcement_and_override(self, monkeypatch):
         with pytest.raises(CapExceeded, match="LAMBDADET_CAP"):
-            count_asms(8)
-        assert count_asms(2, cap=3) == 2
+            next(enumerate_asms(8))
+        assert len(list(enumerate_asms(2, cap=3))) == 2
         monkeypatch.setenv("LAMBDADET_CAP", "9")
         assert resolve_cap() == 9
         check_cap(8)
@@ -121,6 +127,20 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             check_cap(5)
         assert resolve_cap(7) == 7
+
+    def test_folds_are_bounded_by_their_table_not_the_cap(self, monkeypatch):
+        monkeypatch.setenv("LAMBDADET_CAP", "4")
+        assert count_asms(9) == asm_count_formula(9) == 911835460
+        assert expanded_term_count(5) == 2**10
+        for fold in (
+            lambda: count_asms(13),
+            lambda: lambda_det_sum(ones_matrix(13)),
+            lambda: min_region_sum(13, ()),
+            lambda: region_sum_counts(13, ()),
+        ):
+            with pytest.raises(TableTooLarge, match="797161"):
+                fold()
+        assert issubclass(TableTooLarge, LambdaDetError)
 
 
 class TestStats:

@@ -132,10 +132,16 @@ class TestSummation:
         assert "limit value at l=1: 36" in out
 
     def test_enumeration_cap_guards_large_sizes(self, capsys):
-        code, _, err = run(capsys, "eq2", "--size-from", "diamond:even:4")
+        # eq2 folds over profiles and lists no ASM, so the enumeration cap
+        # does not apply; the fold's transition-table limit refuses size 13.
+        code, out, _ = run(
+            capsys, "eq2", "--size-from", "diamond:even:4", "--perturb", "--eval", "1"
+        )
+        assert code == 0
+        assert "limit value at l=1: 12988816" in out
+        code, _, err = run(capsys, "eq2", "--size-from", "ones:13")
         assert code == 1
-        assert "CapExceeded" in err
-        assert "LAMBDADET_CAP" in err
+        assert "TableTooLarge" in err
 
 
 class TestGenerators:
@@ -164,9 +170,18 @@ class TestAsm:
         assert out.strip() == "42"
 
     def test_count_respects_cap(self, capsys):
-        code, _, err = run(capsys, "asm", "count", "--size", "8")
+        # The cap bounds enumeration only; counting is a fold (see below).
+        code, _, err = run(capsys, "asm", "enumerate", "--size", "8")
         assert code == 1
         assert "CapExceeded" in err
+
+    def test_count_folds_past_the_enumeration_cap(self, capsys):
+        code, out, _ = run(capsys, "asm", "count", "--size", "9")
+        assert code == 0
+        assert out.strip() == "911835460"
+        code, _, err = run(capsys, "asm", "count", "--size", "13")
+        assert code == 1
+        assert "TableTooLarge" in err
 
     def test_enumerate_sketches(self, capsys):
         code, out, _ = run(capsys, "asm", "enumerate", "--size", "3")

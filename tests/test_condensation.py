@@ -224,6 +224,103 @@ class TestNumericZeroOverZero:
             numeric_pyramid(matrix, 1)
 
 
+def mixed_monomial_matrix(n: int, rng: Random, symmetric: bool = False) -> PolyMatrix:
+    """Monomials c*t^e with c a signed int (unit or not) or a Fraction.
+
+    Entries on the outer border may also carry l: no window has them
+    inside, so no ASM term inverts them.
+    """
+
+    def entry(i: int, j: int) -> LaurentPoly:
+        sign = rng.choice((-1, 1))
+        kind = rng.randrange(4)
+        if kind == 0:
+            coeff = sign
+        elif kind == 1:
+            coeff = Fraction(sign * rng.randint(1, 5), rng.randint(2, 3))
+        else:
+            coeff = sign * rng.randint(2, 6)
+        border = i in (0, n - 1) or j in (0, n - 1)
+        l_exp = rng.randint(1, 2) if border and rng.random() < 0.3 else 0
+        return LaurentPoly.monomial(coeff, l_exp, rng.randint(-1, 2))
+
+    rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return PolyMatrix(tuple(tuple(row) for row in rows))
+
+
+class TestIntegerScaledCondensation:
+    """Non-unit int coefficients send symbolic_pyramid through the
+    integer-scaled recurrence; its values must be the unscaled ones."""
+
+    def test_every_window_equals_the_summation_formula(self):
+        rng = Random(707)
+        matrices = [mixed_monomial_matrix(n, rng) for n in (3, 4, 4, 5, 5, 6)]
+        matrices.append(mixed_monomial_matrix(5, rng, symmetric=True))
+        for matrix in matrices:
+            pyramid = symbolic_pyramid(matrix)
+            n = matrix.size
+            for k in range(1, n + 1):
+                for i in range(n - k + 1):
+                    for j in range(n - k + 1):
+                        window = PolyMatrix(
+                            tuple(row[j : j + k] for row in matrix.rows[i : i + k])
+                        )
+                        assert pyramid.value(k, i + 1, j + 1) == lambda_det_sum(window)
+
+    def test_integral_coefficients_are_stored_as_ints(self):
+        rng = Random(708)
+        for n in (4, 5, 6):
+            pyramid = symbolic_pyramid(mixed_monomial_matrix(n, rng))
+            for layer in pyramid.layers[2:]:
+                for row in layer:
+                    for value in row:
+                        for _l, _t, coeff in value.terms():
+                            assert isinstance(coeff, int) or coeff.denominator != 1
+
+    def test_int_entries_divide_in_the_integers(self, monkeypatch):
+        quotients = []
+        exact_div = LaurentPoly.exact_div
+
+        def recording(self, other):
+            quotient = exact_div(self, other)
+            quotients.append(quotient)
+            return quotient
+
+        monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+        matrix = random_monomial_matrix(6, Random(709))
+        top = symbolic_pyramid(matrix).top
+        monkeypatch.undo()
+        assert len(quotients) == 4**2 + 3**2 + 2**2 + 1
+        assert all(isinstance(c, int) for q in quotients for _l, _t, c in q.terms())
+        assert any(isinstance(c, Fraction) for _l, _t, c in top.terms())
+        assert top == lambda_det_sum(matrix)
+
+    def test_non_unit_centre_of_a_three_by_three(self):
+        t = LaurentPoly.monomial
+        matrix = PolyMatrix(
+            (
+                (t(2), t(3, 0, 1), t(5)),
+                (t(7), t(6, 0, 2), t(-11)),
+                (t(13), t(17), t(19, 0, 1)),
+            )
+        )
+        assert lambda_det(matrix) == lambda_det_sum(matrix)
+        assert lambda_det(matrix).coefficient(1, -1) == Fraction(-7 * 3 * 11 * 17, 6)
+
+    def test_zero_minor_names_the_window(self):
+        matrix = PolyMatrix.from_rows(
+            [[2, 3, 5, 7], [11, 13, 17, 19], [23, 0, 29, 31], [37, 41, 43, 47]]
+        )
+        with pytest.raises(
+            ZeroMinor,
+            match=r"^the 1-by-1 window at \(3, 2\) has identically zero "
+            r"lambda-determinant, so condensation cannot divide by it$",
+        ):
+            symbolic_pyramid(matrix)
+
+
 class TestFailureModes:
     def test_zero_minor_stops_symbolic_condensation(self):
         # The order-3 diamond happens to keep its zeros off the divisor

@@ -193,6 +193,15 @@ class TestTextForm:
         assert poly.to_text() == "-3/2*l^2*t^-1"
         assert LaurentPoly.parse("-3/2*l^2*t^-1") == poly
 
+    def test_integral_fraction_coefficient_acts_as_its_int(self):
+        # A product may store Fraction(1, 1); it must compare, hash and
+        # print exactly like the int 1.
+        value = LaurentPoly.const(Fraction(1, 2)) * 2
+        assert value == 1
+        assert value == ONE and hash(value) == hash(ONE)
+        assert value.to_text() == "1"
+        assert str(value) == "1"
+
     def test_parse_rejects_garbage(self):
         for text in ("", "l^2", "1 +", "2*x^3", "1*l^-1"):
             with pytest.raises(ValueError):

@@ -29,13 +29,7 @@ from lambdadet.asm import (
     min_region_sum,
     sketch,
 )
-from lambdadet.matrices import diamond_even, diamond_odd
-
-
-def diamond_pattern(size: int):
-    if size % 2 == 0:
-        return diamond_even(size // 2)
-    return diamond_odd((size - 1) // 2)
+from lambdadet.matrices import diamond_pattern
 
 
 def main() -> int:

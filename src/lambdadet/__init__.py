@@ -55,6 +55,7 @@ from .matrices import (
     center_perturbed,
     diamond_even,
     diamond_odd,
+    diamond_pattern,
     ones_matrix,
     random_monomial_matrix,
 )
@@ -70,7 +71,6 @@ from .tilings import (
     matching_sum_brute,
     square_region,
     tfk_count,
-    trimmed_aztec_square,
 )
 
 __version__ = "0.1.0"

@@ -10,23 +10,21 @@ row is admissible when its own prefix sums also stay in {0, 1} and it
 ends at 1.  Each row raises the total sum by one, so depth n forces the
 all-ones profile.  Row r's share of the inversion count,
 sum_s b_rs * popcount(profile >> (s+1)), depends only on the profile and
-the row, so every aggregate (the count, the summation formula, masked-sum
-minima and histograms) folds over at most 2^n profiles per row with one
-cached transition table per size.  Only enumerate_asms lists matrices;
-it serves `asm enumerate|stats` and is the oracle the tests hold the
-folds to.  Counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so
-enumeration refuses sizes above a cap: 7 by default, overridable via the
-LAMBDADET_CAP environment variable or an explicit argument.  A fold
-costs its table, not the count: (3^n - 1)/2 transitions, so size 9
-(911835460 ASMs) folds in hundredths of a second.  The table is bounded
-by MAX_TRANSITIONS, which admits size 12 (about 1 s and 70 MB) and
-refuses size 13 with TableTooLarge.
+the row.  One cached table per size maps each profile to its admissible
+rows with their next profile, inv_r and neg_r (the row's -1 count).
+Every sum over ASMs (the count, the summation formula, the expanded term
+count, the masked-sum histogram as a polynomial in t) is one _fold over
+it; min_region_sum is a min-plus fold, since it returns a witness.  A
+fold costs (3^n - 1)/2 transitions, not the count: size 9 (911835460
+ASMs) takes hundredths of a second, and MAX_TRANSITIONS admits size 12
+(under a second, about 70 MB) and refuses 13 with TableTooLarge.  Only
+enumerate_asms lists matrices, for `asm enumerate|stats` and as the
+tests' oracle; it refuses sizes above its cap argument, 7 by default.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,54 +37,16 @@ from .matrices import PolyMatrix
 ASM = tuple[tuple[int, ...], ...]
 
 DEFAULT_CAP = 7
-CAP_ENV_VAR = "LAMBDADET_CAP"
 MAX_TRANSITIONS = (3**12 - 1) // 2
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the LAMBDADET_CAP environment variable, else 7."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
-
-
-def check_cap(n: int, cap: int | None = None) -> None:
-    limit = resolve_cap(cap)
-    if n > limit:
-        raise CapExceeded(
-            "size %d exceeds the enumeration cap %d (raise it explicitly "
-            "or via %s if you mean it)" % (n, limit, CAP_ENV_VAR)
-        )
-
-
-def _admissible_rows(profile: int, n: int) -> list[tuple[int, ...]]:
-    """All rows that extend the given column-sum profile by one valid row."""
-    row = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def walk(j: int, prefix: int) -> None:
-        if j == n:
-            if prefix == 1:
-                out.append(tuple(row))
-            return
-        walk(j + 1, prefix)
-        if prefix == 0 and not profile >> j & 1:
-            row[j] = 1
-            walk(j + 1, 1)
-            row[j] = 0
-        elif prefix == 1 and profile >> j & 1:
-            row[j] = -1
-            walk(j + 1, 0)
-            row[j] = 0
-
-    walk(0, 0)
-    return out
-
-
-def enumerate_asms(n: int, cap: int | None = None) -> Iterator[ASM]:
+def enumerate_asms(n: int, cap: int = DEFAULT_CAP) -> Iterator[ASM]:
     """Yield every n-by-n alternating-sign matrix (CapExceeded past the cap)."""
-    check_cap(n, cap)
+    if n > cap:
+        raise CapExceeded(
+            "size %d exceeds the enumeration cap %d (pass a larger cap if "
+            "you mean it)" % (n, cap)
+        )
     table = _table(n)
     acc: list[tuple[int, ...]] = []
 
@@ -106,29 +66,13 @@ Transition = tuple[tuple[int, ...], int, int, int]
 
 
 @cache
-def _transitions(n: int) -> dict[int, tuple[Transition, ...]]:
+def _table(n: int) -> dict[int, tuple[Transition, ...]]:
     """Profile -> every admissible row as (row, next_profile, inv_r, neg_r).
 
     Every profile short of all-ones is reached by a partial permutation
     matrix and can be completed, so the keys are exactly the states of
     the fold.  The row adds inv_r inversions and neg_r entries -1.
     """
-    table: dict[int, tuple[Transition, ...]] = {}
-    for profile in range((1 << n) - 1):
-        moves = []
-        for row in _admissible_rows(profile, n):
-            nxt, inv, neg = profile, 0, 0
-            for s, b in enumerate(row):
-                if b:
-                    nxt ^= 1 << s
-                    inv += b * (profile >> (s + 1)).bit_count()
-                    neg += b < 0
-            moves.append((row, nxt, inv, neg))
-        table[profile] = tuple(moves)
-    return table
-
-
-def _table(n: int) -> dict[int, tuple[Transition, ...]]:
     if n < 1:
         raise ValueError("size must be positive")
     # Column by column, a (profile, row) pair keeps the row's running sum
@@ -140,7 +84,34 @@ def _table(n: int) -> dict[int, tuple[Transition, ...]]:
             "size %d needs %d profile transitions, beyond the limit %d"
             % (n, size, MAX_TRANSITIONS)
         )
-    return _transitions(n)
+    row = [0] * n
+    moves: list[Transition] = []
+
+    def walk(profile: int, j: int, running: int, nxt: int, inv: int, neg: int) -> None:
+        # A +1 needs running sum 0 and a clear bit, a -1 running sum 1 and
+        # a set bit; either adds +-1 times the set bits right of column j.
+        if j == n:
+            if running == 1:
+                moves.append((tuple(row), nxt, inv, neg))
+            return
+        walk(profile, j + 1, running, nxt, inv, neg)
+        bit = 1 << j
+        right = (profile >> (j + 1)).bit_count()
+        if running == 0 and not profile & bit:
+            row[j] = 1
+            walk(profile, j + 1, 1, nxt ^ bit, inv + right, neg)
+            row[j] = 0
+        elif running == 1 and profile & bit:
+            row[j] = -1
+            walk(profile, j + 1, 0, nxt ^ bit, inv - right, neg + 1)
+            row[j] = 0
+
+    table: dict[int, tuple[Transition, ...]] = {}
+    for profile in range((1 << n) - 1):
+        walk(profile, 0, 0, profile, 0, 0)
+        table[profile] = tuple(moves)
+        moves.clear()
+    return table
 
 
 def _fold(n: int, start, weight):
@@ -371,16 +342,13 @@ def min_region_sum(n: int, cells: Iterable[tuple[int, int]]) -> tuple[int, ASM]:
 def region_sum_counts(n: int, cells: Iterable[tuple[int, int]]) -> dict[int, int]:
     """How many n-by-n ASMs give each value of region_sum, by value.
 
-    A counting fold over (profile, partial sum) states.
+    The fold of the generating polynomial sum_B t^region_sum(B), whose
+    t-exponents (negative ones included) are the values.
     """
-    table = _table(n)
     columns = _cells_by_row(n, cells)
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
-    for r in range(n):
-        new: dict[tuple[int, int], int] = {}
-        for (profile, partial), count in states.items():
-            for row, nxt, _inv, _neg in table[profile]:
-                key = (nxt, partial + sum(row[j] for j in columns[r]))
-                new[key] = new.get(key, 0) + count
-        states = new
-    return dict(sorted((value, count) for (_, value), count in states.items()))
+
+    def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
+        return LaurentPoly.monomial(1, 0, sum(row[j] for j in columns[r]))
+
+    poly = _fold(n, ONE, weight)
+    return {value: count for _l, value, count in poly.terms()}

@@ -23,6 +23,7 @@ from pathlib import Path
 from random import Random
 
 from .asm import (
+    DEFAULT_CAP,
     asm_stats,
     complement_cells,
     count_asms,
@@ -40,6 +41,7 @@ from .matrices import (
     center_perturbed,
     diamond_even,
     diamond_odd,
+    diamond_pattern,
     ones_matrix,
 )
 from .reproduce import DEFAULT_SEED, ReproductionSession, run_all
@@ -188,10 +190,7 @@ def cmd_diamond(args) -> int:
 def _asm_pattern(args) -> frozenset:
     if args.cells:
         return frozenset((r, c) for (r, c) in _parse_region(args.cells))
-    if args.size % 2 == 0:
-        pattern = diamond_even(args.size // 2)
-    else:
-        pattern = diamond_odd((args.size - 1) // 2)
+    pattern = diamond_pattern(args.size)
     return complement_cells(pattern) if args.complement else mask_cells(pattern)
 
 
@@ -296,11 +295,13 @@ def cmd_kuo_check(args) -> int:
 
 def cmd_reproduce(args) -> int:
     numbers = None
-    if args.checks:
+    if args.checks is not None:
         try:
             numbers = [int(x) for x in args.checks.split(",") if x.strip()]
         except ValueError:
             raise SizeMismatch("--checks wants a comma-separated list of numbers")
+        if not numbers:
+            raise SizeMismatch("--checks names no check")
     session = ReproductionSession(seed=args.seed)
     results = run_all(session=session, numbers=numbers, writer=print)
     passed = sum(1 for r in results if r.passed)
@@ -361,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     asm.add_argument("--size", type=int, required=True)
     asm.add_argument(
-        "--cap", type=int, default=None, help="enumerate, stats: enumeration size cap"
+        "--cap", type=int, default=DEFAULT_CAP,
+        help="enumerate, stats: enumeration size cap",
     )
     asm.add_argument(
         "--cells", help="region-sum: explicit cell list as JSON [[r,c],...]"

@@ -153,6 +153,14 @@ def diamond_odd(n: int) -> PolyMatrix:
     )
 
 
+def diamond_pattern(size: int) -> PolyMatrix:
+    """The size-by-size diamond matrix: diamond_even for even sizes,
+    diamond_odd for odd ones."""
+    if size % 2 == 0:
+        return diamond_even(size // 2)
+    return diamond_odd((size - 1) // 2)
+
+
 def random_monomial_matrix(
     n: int, rng, max_coeff: int = 5, max_t_exp: int = 3
 ) -> PolyMatrix:

@@ -44,6 +44,7 @@ from .matrices import (
     center_perturbed,
     diamond_even,
     diamond_odd,
+    diamond_pattern,
     ones_matrix,
     random_monomial_matrix,
 )
@@ -224,14 +225,10 @@ def check_polynomiality(session: ReproductionSession) -> tuple[bool, str]:
 
 
 def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
-    patterns = {
-        2: diamond_even(1), 4: diamond_even(2), 6: diamond_even(3),
-        3: diamond_odd(1), 5: diamond_odd(2), 7: diamond_odd(3),
-    }
     scanned = 0
     failures: list[str] = []
-    for size in sorted(patterns):
-        pattern = patterns[size]
+    for size in range(2, 8):
+        pattern = diamond_pattern(size)
         mask = mask_cells(pattern)
         counts = region_sum_counts(size, mask)
         scanned += sum(counts.values())
@@ -248,7 +245,7 @@ def check_masked_sums(session: ReproductionSession) -> tuple[bool, str]:
     # matrices of the window's size, and keeps the non-negativity.
     local_patterns: dict[int, set[frozenset]] = {}
     for size in (2, 3, 4, 5):
-        mask = mask_cells(patterns[size])
+        mask = mask_cells(diamond_pattern(size))
         for k in range(1, size + 1):
             for i0 in range(1, size - k + 2):
                 for j0 in range(1, size - k + 2):
@@ -370,7 +367,9 @@ def run_all(
     """Run the selected checks (all by default), reporting one line each."""
     session = session or ReproductionSession()
     results = []
-    for number in numbers or range(1, len(CHECKS) + 1):
+    if numbers is None:
+        numbers = range(1, len(CHECKS) + 1)
+    for number in numbers:
         result = run_check(number, session)
         results.append(result)
         if writer is not None:

@@ -234,18 +234,6 @@ def diamond_window_region(N: int, k: int, i: int, j: int) -> Region | None:
     )
 
 
-def trimmed_aztec_square(n: int) -> Region:
-    """The order 2n-1 Aztec diamond with depth n-1 caps removed on all
-    four sides; cell for cell this is the central 2n-by-2n square."""
-    m = 2 * n - 1
-    depth = n - 1
-    return frozenset(
-        (r, c)
-        for (r, c) in aztec_region(m)
-        if depth < r <= 2 * m - depth and depth < c <= 2 * m - depth
-    )
-
-
 # -- square counts in closed form ---------------------------------------
 
 

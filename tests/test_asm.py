@@ -10,9 +10,9 @@ import pytest
 
 from lambdadet.asm import (
     ASMStats,
+    _table,
     asm_count_formula,
     asm_stats,
-    check_cap,
     complement_cells,
     count_asms,
     enumerate_asms,
@@ -23,7 +23,6 @@ from lambdadet.asm import (
     min_region_sum,
     region_sum,
     region_sum_counts,
-    resolve_cap,
     window_cells,
 )
 from lambdadet.errors import (
@@ -116,20 +115,15 @@ class TestEnumeration:
         assert not is_asm(((1, 0), (0,)))
         assert not is_asm(((0, 1), (1, -1)))
 
-    def test_cap_enforcement_and_override(self, monkeypatch):
-        with pytest.raises(CapExceeded, match="LAMBDADET_CAP"):
+    def test_cap_enforcement_and_override(self):
+        with pytest.raises(CapExceeded, match="enumeration cap 7"):
             next(enumerate_asms(8))
         assert len(list(enumerate_asms(2, cap=3))) == 2
-        monkeypatch.setenv("LAMBDADET_CAP", "9")
-        assert resolve_cap() == 9
-        check_cap(8)
-        monkeypatch.setenv("LAMBDADET_CAP", "4")
+        assert is_asm(next(enumerate_asms(8, cap=9)))
         with pytest.raises(CapExceeded):
-            check_cap(5)
-        assert resolve_cap(7) == 7
+            next(enumerate_asms(5, cap=4))
 
-    def test_folds_are_bounded_by_their_table_not_the_cap(self, monkeypatch):
-        monkeypatch.setenv("LAMBDADET_CAP", "4")
+    def test_folds_are_bounded_by_their_table_not_the_cap(self):
         assert count_asms(9) == asm_count_formula(9) == 911835460
         assert expanded_term_count(5) == 2**10
         for fold in (
@@ -141,6 +135,33 @@ class TestEnumeration:
             with pytest.raises(TableTooLarge, match="797161"):
                 fold()
         assert issubclass(TableTooLarge, LambdaDetError)
+
+
+class TestTransitionTable:
+    def test_table_matches_its_definition(self):
+        for n in range(1, 7):
+            table = _table(n)
+            assert list(table) == list(range((1 << n) - 1))
+            total = 0
+            for profile, moves in table.items():
+                bits = [profile >> s & 1 for s in range(n)]
+                expected = {}
+                for row in itertools.product((-1, 0, 1), repeat=n):
+                    prefixes = list(itertools.accumulate(row))
+                    if prefixes[-1] != 1 or any(p not in (0, 1) for p in prefixes):
+                        continue
+                    if any(bits[s] + b not in (0, 1) for s, b in enumerate(row)):
+                        continue
+                    expected[row] = (
+                        profile ^ sum(1 << s for s, b in enumerate(row) if b),
+                        sum(b * sum(bits[s + 1 :]) for s, b in enumerate(row)),
+                        row.count(-1),
+                    )
+                got = {row: (nxt, inv, neg) for row, nxt, inv, neg in moves}
+                assert len(got) == len(moves)
+                assert got == expected
+                total += len(moves)
+            assert total == (3**n - 1) // 2
 
 
 class TestStats:

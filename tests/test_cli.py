@@ -7,6 +7,7 @@ import json
 import pytest
 
 from lambdadet.cli import main
+from lambdadet.reproduce import run_all
 
 TWO_BY_TWO = json.dumps({"size": 2, "entries": [[2, 3], [5, 7]]})
 
@@ -335,6 +336,14 @@ class TestKuoAndReproduce:
         assert "check number must be in 1..14" in err
         code, _, err = run(capsys, "reproduce", "--checks", "one")
         assert code == 1
+
+    def test_reproduce_refuses_an_empty_check_list(self, capsys):
+        for checks in (",", ""):
+            code, out, err = run(capsys, "reproduce", "--checks", checks)
+            assert code == 1
+            assert "SizeMismatch" in err
+            assert "PASS" not in out and "FAIL" not in out
+        assert run_all(numbers=[]) == []
 
 
 class TestUsageErrors:

@@ -32,7 +32,6 @@ from lambdadet.tilings import (
     sub_diamond_cells,
     tfk_count,
     tip_edges,
-    trimmed_aztec_square,
 )
 
 SQUARE_COUNTS = {2: 2, 4: 36, 6: 6728, 8: 12988816}
@@ -223,11 +222,12 @@ class TestWindowRegions:
             translated = frozenset(
                 (r + shift, c + shift) for (r, c) in square_region(2 * n)
             )
-            assert trimmed_aztec_square(n) == translated
+            assert diamond_window_region(n, 2 * n, 1, 1) == translated
 
     def test_trimmed_diamond_counts_match_squares(self):
         for n in range(1, 4):
-            assert count_tilings(trimmed_aztec_square(n)) == SQUARE_COUNTS[2 * n]
+            region = diamond_window_region(n, 2 * n, 1, 1)
+            assert count_tilings(region) == SQUARE_COUNTS[2 * n]
 
     def test_corner_trimmed_square_fixture(self):
         corners = {(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 4)}
@@ -253,8 +253,12 @@ class TestWindowRegions:
             assert pyramid.value(k, i, j) == expected
 
     def test_full_window_trims_to_the_square(self):
-        assert diamond_window_region(2, 4, 1, 1) == trimmed_aztec_square(2)
-        assert diamond_window_region(3, 6, 1, 1) == trimmed_aztec_square(3)
+        for n in (2, 3):
+            shift = n - 1
+            translated = frozenset(
+                (r + shift, c + shift) for (r, c) in square_region(2 * n)
+            )
+            assert diamond_window_region(n, 2 * n, 1, 1) == translated
 
     def test_swallowed_window_returns_none(self):
         assert diamond_window_region(2, 1, 1, 1) is None

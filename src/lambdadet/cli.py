@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -302,6 +301,9 @@ def cmd_reproduce(args) -> int:
             raise SizeMismatch("--checks wants a comma-separated list of numbers")
         if not numbers:
             raise SizeMismatch("--checks names no check")
+        for number in numbers:
+            if numbers.count(number) > 1:
+                raise SizeMismatch("--checks names check %d more than once" % number)
     session = ReproductionSession(seed=args.seed)
     results = run_all(session=session, numbers=numbers, writer=print)
     passed = sum(1 for r in results if r.passed)

@@ -43,9 +43,8 @@ alpha = beta = u at the centre, counted once since the corners
 coincide.  Every step is the same exact division by a nonzero constant
 multiple of the old divisor, so exactness, ZeroMinor and InexactDivision
 occur exactly where they did unscaled.  _condense takes alpha and beta
-per window as an optional argument; symbolic_pyramid divides each value
-back by its pi(C) at the end, and skips all of this when every u is 1
-(diamonds, all-ones and 0/1 matrices).
+per window as an optional argument (the numeric runs pass none), and
+symbolic_pyramid divides each value back by its pi(C) at the end.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ def _divide_symbolic(numerator, divisor, k: int, i: int, j: int):
     return numerator.exact_div(divisor)
 
 
-def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]] | None:
-    """u per entry: |c| for a monomial c*t^e with int c, else 1; None if all 1."""
+def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]]:
+    """u per entry: |c| for a monomial c*t^e with int c, else 1."""
     weights = []
     for row in matrix.rows:
         line = []
@@ -146,7 +145,7 @@ def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]] | None:
             mono = cell.as_monomial()
             line.append(abs(mono[0]) if mono and isinstance(mono[0], int) else 1)
         weights.append(line)
-    return weights if any(u != 1 for line in weights for u in line) else None
+    return weights
 
 
 def _corner_pair(weights: list[list[int]]) -> Pair:
@@ -183,15 +182,12 @@ def _unscale(value: LaurentPoly, weights: list[list[int]], k: int, i: int, j: in
 def symbolic_pyramid(matrix: PolyMatrix) -> Pyramid:
     """Full pyramid over the exact ring, with l as a variable.
 
-    Monomial entries with int coefficients other than +-1 run the
-    integer-scaled recurrence of the module docstring, and each value of
-    layer 3 and up is divided back by its central window's product of
-    coefficients.
+    Runs the integer-scaled recurrence of the module docstring, and
+    divides each value of layer 3 and up back by its central window's
+    product of coefficients.
     """
     symmetric = matrix.is_symmetric()
     weights = _coefficient_weights(matrix)
-    if weights is None:
-        return _condense(matrix.rows, LAM, _divide_symbolic, symmetric)
     scaled = _condense(
         matrix.rows, LAM, _divide_symbolic, symmetric, _corner_pair(weights)
     )

@@ -27,6 +27,11 @@ l-part.  A value finds its t-range once and keeps it, and products and
 quotients are built knowing theirs, so the check stays off the per-term
 path.  The bound is astronomically beyond what any supported computation
 produces.
+
+Exact division is long division in t over Q[l]: each operand is cut once
+into t-slices (dense lists of l-coefficients), and the loop runs over at
+most the quotient's t-span of slices, so an inexact division fails in
+bounded time.
 """
 
 from __future__ import annotations
@@ -137,17 +142,24 @@ class LaurentPoly:
             self._t_bounds = (min(offsets) - _HALF, max(offsets) - _HALF)
         return self._t_bounds
 
+    def _t_slices(self) -> dict[int, list[Rational]]:
+        """{t_exp - min t_exp: dense l-coefficient list}, in one pass."""
+        low = self._t_range()[0]
+        slices: dict[int, list[Rational]] = {}
+        for key, coeff in self._terms.items():
+            l_exp, t_exp = _unpack(key)
+            row = slices.setdefault(t_exp - low, [])
+            if len(row) <= l_exp:
+                row.extend([0] * (l_exp + 1 - len(row)))
+            row[l_exp] = coeff
+        return slices
+
     def min_t_exp(self) -> int:
         """Smallest t-exponent present, 0 for the zero polynomial."""
         return self._t_range()[0] if self._terms else 0
 
     def max_t_exp(self) -> int:
         return self._t_range()[1] if self._terms else 0
-
-    def l_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_unpack(key)[0] for key in self._terms)
 
     def as_monomial(self) -> tuple[Rational, int, int] | None:
         """Return (coeff, l_exp, t_exp) if this is a single term, else None."""
@@ -253,17 +265,14 @@ class LaurentPoly:
     def exact_div(self, other) -> "LaurentPoly":
         """Exact quotient self / other; InexactDivision if it does not divide.
 
-        The divisor's minimal t-power is factored out first, then the
-        quotient is built t-slice by t-slice: at each step the lowest
-        remaining t-slice of the remainder is divided (exactly, as a
-        univariate polynomial in l) by the divisor's lowest slice.  The
-        remainder reaching zero is the proof of exactness.  Q[l] has no
-        zero divisors, so t-spans (max minus min t-exponent) add under
-        multiplication: an exact quotient spans exactly t_span, and a
-        slice past it proves the division inexact.
+        Slice t of the remainder, for t = 0..t_span counted from each
+        operand's minimal t-power, is cleared from its highest l down
+        against the divisor's lowest slice.  Q[l] has no zero divisors, so
+        t-spans add under multiplication: an exact quotient spans exactly
+        t_span, and any remainder left after the loop proves it inexact.
         """
         rhs = self._coerce(other)
-        if rhs is None or not isinstance(rhs, LaurentPoly):
+        if rhs is None:
             raise TypeError("cannot divide by %r" % (other,))
         if not rhs._terms:
             raise DivisionByZero("division by zero polynomial")
@@ -272,34 +281,39 @@ class LaurentPoly:
         num_shift, num_top = self._t_range()
         den_shift, den_top = rhs._t_range()
         t_span = (num_top - num_shift) - (den_top - den_shift)
-        den = {key - den_shift: coeff for key, coeff in rhs._terms.items()}
-        low = _slice_at(den, 0)
-        remainder = {key - num_shift: coeff for key, coeff in self._terms.items()}
-        quotient: dict[int, Rational] = {}
-        while remainder:
-            t_min = min(_unpack(key)[1] for key in remainder)
-            if t_min < 0:
-                raise InexactDivision("remainder drops below divisor's t-range")
-            if t_min > t_span:
-                raise InexactDivision("quotient exceeds the t-span %d" % t_span)
-            q_slice = _div_l_poly(_slice_at(remainder, t_min), low)
-            for l_exp, coeff in enumerate(q_slice):
-                if not coeff:
-                    continue
-                qkey = l_exp * STRIDE + t_min
-                quotient[qkey] = coeff
-                for dkey, dcoeff in den.items():
-                    key = dkey + qkey
-                    acc = remainder.get(key, 0) - coeff * dcoeff
-                    if acc:
-                        remainder[key] = acc
-                    else:
-                        remainder.pop(key, None)
         shift = num_shift - den_shift
+        den_slices = rhs._t_slices()
+        degree, lead = len(den_slices[0]) - 1, den_slices[0][-1]
+        # Each divisor slice's t-offset and nonzero (l_exp, coeff) pairs.
+        den = [
+            (s, [(i, c) for i, c in enumerate(row) if c])
+            for s, row in den_slices.items()
+        ]
+        remainder = self._t_slices()
+        quotient: dict[int, Rational] = {}
+        for t in range(t_span + 1):
+            row = remainder.get(t, ())
+            for top_l in range(len(row) - 1, degree - 1, -1):
+                top = row[top_l]
+                if not top:
+                    continue
+                if isinstance(top, int) and isinstance(lead, int) and top % lead == 0:
+                    coeff: Rational = top // lead
+                else:
+                    coeff = _as_coeff(Fraction(top) / Fraction(lead))
+                q_l = top_l - degree
+                quotient[q_l * STRIDE + t + shift] = coeff
+                for s, den_row in den:
+                    target = remainder.setdefault(t + s, [])
+                    need = q_l + den_row[-1][0] + 1
+                    if len(target) < need:
+                        target.extend([0] * (need - len(target)))
+                    for i, dcoeff in den_row:
+                        target[q_l + i] -= coeff * dcoeff
+        if any(any(row) for row in remainder.values()):
+            raise InexactDivision("nonzero remainder after %d t-slices" % (t_span + 1))
         t_bounds = (shift, shift + t_span)
         _check_t_range(*t_bounds)
-        if shift:
-            quotient = {key + shift: coeff for key, coeff in quotient.items()}
         return LaurentPoly._wrap(quotient, t_bounds)
 
     def __truediv__(self, other) -> "LaurentPoly":
@@ -401,45 +415,6 @@ def _parse_term(chunk: str) -> tuple[Rational, int, int]:
     if l_exp < 0:
         raise ValueError("negative l-exponent in %r" % chunk)
     return coeff, l_exp, t_exp
-
-
-def _slice_at(data: dict[int, Rational], t_exp: int) -> list[Rational]:
-    """Dense l-coefficient list of the given t-slice."""
-    coeffs: dict[int, Rational] = {}
-    for key, coeff in data.items():
-        l_exp, t = _unpack(key)
-        if t == t_exp:
-            coeffs[l_exp] = coeff
-    degree = max(coeffs)
-    out: list[Rational] = [0] * (degree + 1)
-    for l_exp, coeff in coeffs.items():
-        out[l_exp] = coeff
-    return out
-
-
-def _div_l_poly(num: list[Rational], den: list[Rational]) -> list[Rational]:
-    """Exact univariate division of dense l-coefficient lists."""
-    deg_d = len(den) - 1
-    deg_n = len(num) - 1
-    if deg_n < deg_d:
-        raise InexactDivision("slice degree too small for divisor")
-    lead = den[deg_d]
-    rem = list(num)
-    quot = [0] * (deg_n - deg_d + 1)
-    for d in range(deg_n, deg_d - 1, -1):
-        top = rem[d]
-        if not top:
-            continue
-        if isinstance(top, int) and isinstance(lead, int) and top % lead == 0:
-            factor: Rational = top // lead
-        else:
-            factor = _as_coeff(Fraction(top) / Fraction(lead))
-        quot[d - deg_d] = factor
-        for i in range(deg_d + 1):
-            rem[d - deg_d + i] -= factor * den[i]
-    if any(rem):
-        raise InexactDivision("nonzero remainder in l-slice division")
-    return quot
 
 
 ZERO = LaurentPoly._wrap({})

@@ -161,17 +161,13 @@ def diamond_pattern(size: int) -> PolyMatrix:
     return diamond_odd((size - 1) // 2)
 
 
-def random_monomial_matrix(
-    n: int, rng, max_coeff: int = 5, max_t_exp: int = 3
-) -> PolyMatrix:
-    """Random matrix of monomials coeff * t^e with positive coefficients,
+def random_monomial_matrix(n: int, rng) -> PolyMatrix:
+    """Random matrix of monomials c * t^e with c in 1..5 and e in 0..3,
     suitable for comparing determinant engines (every entry invertible)."""
     return PolyMatrix(
         tuple(
             tuple(
-                LaurentPoly.monomial(
-                    rng.randint(1, max_coeff), 0, rng.randint(0, max_t_exp)
-                )
+                LaurentPoly.monomial(rng.randint(1, 5), 0, rng.randint(0, 3))
                 for _ in range(n)
             )
             for _ in range(n)

@@ -40,7 +40,6 @@ from .condensation import (
 from .errors import IndeterminateForm
 from .laurent import ONE_PLUS_LAM, LaurentPoly
 from .matrices import (
-    PolyMatrix,
     center_perturbed,
     diamond_even,
     diamond_odd,

@@ -32,7 +32,7 @@ from lambdadet.errors import (
     NonMonomialEntry,
     TableTooLarge,
 )
-from lambdadet.laurent import LAM, ONE_PLUS_LAM, LaurentPoly, T_VAR
+from lambdadet.laurent import LAM, ONE_PLUS_LAM, LaurentPoly
 from lambdadet.matrices import (
     PolyMatrix,
     center_perturbed,

@@ -345,6 +345,12 @@ class TestKuoAndReproduce:
             assert "PASS" not in out and "FAIL" not in out
         assert run_all(numbers=[]) == []
 
+    def test_reproduce_refuses_a_repeated_check(self, capsys):
+        code, out, err = run(capsys, "reproduce", "--checks", "3,1,3")
+        assert code == 1
+        assert "SizeMismatch" in err and "check 3 more than once" in err
+        assert "PASS" not in out and "FAIL" not in out
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

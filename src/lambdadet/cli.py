@@ -43,7 +43,7 @@ from .matrices import (
     diamond_pattern,
     ones_matrix,
 )
-from .reproduce import DEFAULT_SEED, ReproductionSession, run_all
+from .reproduce import CHECKS, DEFAULT_SEED, ReproductionSession, run_all
 from .tilings import (
     aztec_region,
     count_tilings,
@@ -302,6 +302,11 @@ def cmd_reproduce(args) -> int:
         if not numbers:
             raise SizeMismatch("--checks names no check")
         for number in numbers:
+            if not 1 <= number <= len(CHECKS):
+                raise SizeMismatch(
+                    "--checks names check %d, but a check number must be in 1..%d"
+                    % (number, len(CHECKS))
+                )
             if numbers.count(number) > 1:
                 raise SizeMismatch("--checks names check %d more than once" % number)
     session = ReproductionSession(seed=args.seed)

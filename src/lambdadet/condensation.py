@@ -113,7 +113,11 @@ def _condense(
                 nw, ne = prev[i][j], prev[i][j + 1]
                 if pair is not None:
                     alpha, beta = pair(k, i, j)
-                    nw, ne = alpha * nw, beta * ne
+                    # A 0/1 matrix has alpha = beta = 1 in every window.
+                    if alpha != 1:
+                        nw = alpha * nw
+                    if beta != 1:
+                        ne = beta * ne
                 numerator = nw * prev[i + 1][j + 1] + lam * ne * prev[i + 1][j]
                 if below is None:
                     value = numerator

@@ -22,7 +22,7 @@ class InexactDivision(LambdaDetError):
 
 
 class ExponentOverflow(LambdaDetError, ValueError):
-    """A t-exponent left the range the packed exponent keys can hold."""
+    """An exact division would span more t-slices than laurent.MAX_T_SPAN."""
 
 
 class PoleAtZero(LambdaDetError):

@@ -5,13 +5,17 @@ and Laurent polynomials in the perturbation variable t, with exact rational
 coefficients.  Negative l-exponents never occur; negative t-exponents are
 allowed and matter for the t -> 0 limit step.
 
-Representation: a dict from a packed exponent key to a nonzero coefficient.
-The pair (l_exp, t_exp) packs into the single integer
+Representation: a value is stored the way the ring is built, as Laurent
+polynomials in t over Q[l].  A dict maps each t-exponent to its t-slice,
+a dict from l-exponent to coefficient:
 
-    key = l_exp * STRIDE + t_exp
+    {t_exp: {l_exp: coeff}}
 
-so keys of a product add like exponent vectors and the inner loops of
-multiplication run on ints rather than tuples.  Coefficients are ints
+with no empty slice and no zero coefficient, so equal values hold equal
+dicts.  The smallest and largest t-exponents are the smallest and largest
+slice keys, and exact division reads the slices directly.  Exponents are
+Python ints, which never wrap, so no operation needs a range check: a
+product of t^5000000 and t^5000000 is t^10000000.  Coefficients are ints
 or fractions.Fraction.  Construction (the constructor, const, monomial,
 parse) and exact division store an integral coefficient as an int, and
 ints only ever combine into ints, which keeps the all-integer
@@ -19,19 +23,19 @@ condensation runs fast.  Sums and products that involve a Fraction keep
 the type Python's arithmetic gives, so an integral coefficient can stay
 a Fraction there: const(Fraction(1, 2)) * 2 holds Fraction(1, 1).  Such
 a coefficient equals, hashes and prints like its int, so values compare
-and print the same either way.  |t_exp| stays below
-STRIDE // 4: construction, products (and so powers) and the shifts of
-exact division check the t-range of their result, read off the operands'
-t-ranges, and raise ExponentOverflow rather than let a key wrap into the
-l-part.  A value finds its t-range once and keeps it, and products and
-quotients are built knowing theirs, so the check stays off the per-term
-path.  The bound is astronomically beyond what any supported computation
-produces.
+and print the same either way.  Slices are never changed once a value
+holds them, so values may share them.
 
-Exact division is long division in t over Q[l]: each operand is cut once
-into t-slices (dense lists of l-coefficients), and the loop runs over at
-most the quotient's t-span of slices, so an inexact division fails in
-bounded time.
+Exact division is long division in t over Q[l]: the loop runs over the
+quotient's t-slices, clearing dense lists of l-coefficients built from
+the operands' slices.  It is the one bounded operation: a quotient of
+more than MAX_T_SPAN = 2**18 t-slices raises ExponentOverflow before the
+loop starts.  At the bound, (t^262144 + 1) / (t - 1) fails in about 1 s
+(2-CPU machine, CPython 3.11).  The bound caps the number of slices, not
+the work per slice: a divisor whose lowest slice leads with a coefficient
+other than +-1, or whose higher slices reach a higher l-degree, grows the
+remainder slice by slice, and a long inexact division then costs about
+the square of its span ((t^32768 + 1) / (t - 2) takes about 1 s).
 """
 
 from __future__ import annotations
@@ -42,31 +46,16 @@ from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, ExponentOverflow, InexactDivision, PoleAtZero
 
-STRIDE = 1 << 24
-_HALF = STRIDE >> 1
-_T_LIMIT = STRIDE >> 2
+MAX_T_SPAN = 1 << 18
 
 Rational = int | Fraction
+Slices = dict[int, dict[int, Rational]]
 
 
-def _check_t_range(low: int, high: int) -> None:
-    if low <= -_T_LIMIT or high >= _T_LIMIT:
-        raise ExponentOverflow(
-            "t-exponents %d..%d leave the packed range (-%d, %d)"
-            % (low, high, _T_LIMIT, _T_LIMIT)
-        )
-
-
-def _pack(l_exp: int, t_exp: int) -> int:
+def _valid_l_exp(l_exp: int) -> int:
     if l_exp < 0:
         raise ValueError("negative l-exponent %d" % l_exp)
-    _check_t_range(t_exp, t_exp)
-    return l_exp * STRIDE + t_exp
-
-
-def _unpack(key: int) -> tuple[int, int]:
-    t_exp = ((key + _HALF) % STRIDE) - _HALF
-    return (key - t_exp) // STRIDE, t_exp
+    return l_exp
 
 
 def _as_coeff(value: Rational) -> Rational:
@@ -80,97 +69,76 @@ def _as_coeff(value: Rational) -> Rational:
 class LaurentPoly:
     """Immutable sparse polynomial in Q[l][t, 1/t]."""
 
-    __slots__ = ("_terms", "_hash", "_t_bounds")
+    __slots__ = ("_slices", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Rational, int, int]] = ()):
-        data: dict[int, Rational] = {}
+        data: Slices = {}
         for coeff, l_exp, t_exp in terms:
             coeff = _as_coeff(coeff)
-            key = _pack(l_exp, t_exp)
-            acc = data.get(key, 0) + coeff
+            l_exp = _valid_l_exp(l_exp)
+            row = data.setdefault(t_exp, {})
+            acc = row.get(l_exp, 0) + coeff
             if acc:
-                data[key] = acc
+                row[l_exp] = acc
             else:
-                data.pop(key, None)
-        self._terms = data
+                row.pop(l_exp, None)
+        self._slices = {t_exp: row for t_exp, row in data.items() if row}
         self._hash: int | None = None
-        self._t_bounds: tuple[int, int] | None = None
 
     @classmethod
-    def _wrap(
-        cls, data: dict[int, Rational], t_bounds: tuple[int, int] | None = None
-    ) -> "LaurentPoly":
+    def _wrap(cls, slices: Slices) -> "LaurentPoly":
         poly = cls.__new__(cls)
-        poly._terms = data
+        poly._slices = slices
         poly._hash = None
-        poly._t_bounds = t_bounds
         return poly
 
     @classmethod
     def const(cls, value: Rational) -> "LaurentPoly":
         value = _as_coeff(value)
-        return cls._wrap({0: value} if value else {})
+        return cls._wrap({0: {0: value}} if value else {})
 
     @classmethod
     def monomial(cls, coeff: Rational, l_exp: int = 0, t_exp: int = 0) -> "LaurentPoly":
         coeff = _as_coeff(coeff)
-        return cls._wrap({_pack(l_exp, t_exp): coeff} if coeff else {})
+        return cls._wrap({t_exp: {_valid_l_exp(l_exp): coeff}} if coeff else {})
 
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, int, Rational]]:
         """Yield (l_exp, t_exp, coeff) sorted by (t_exp, l_exp)."""
-        decoded = [(_unpack(key), coeff) for key, coeff in self._terms.items()]
-        decoded.sort(key=lambda item: (item[0][1], item[0][0]))
-        for (l_exp, t_exp), coeff in decoded:
-            yield l_exp, t_exp, coeff
+        for t_exp in sorted(self._slices):
+            row = self._slices[t_exp]
+            for l_exp in sorted(row):
+                yield l_exp, t_exp, row[l_exp]
 
     @property
     def term_count(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._slices.values()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._slices
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def _t_range(self) -> tuple[int, int]:
-        """Smallest and largest t-exponent of a nonzero value, found once."""
-        if self._t_bounds is None:
-            offsets = [(key + _HALF) % STRIDE for key in self._terms]
-            self._t_bounds = (min(offsets) - _HALF, max(offsets) - _HALF)
-        return self._t_bounds
-
-    def _t_slices(self) -> dict[int, list[Rational]]:
-        """{t_exp - min t_exp: dense l-coefficient list}, in one pass."""
-        low = self._t_range()[0]
-        slices: dict[int, list[Rational]] = {}
-        for key, coeff in self._terms.items():
-            l_exp, t_exp = _unpack(key)
-            row = slices.setdefault(t_exp - low, [])
-            if len(row) <= l_exp:
-                row.extend([0] * (l_exp + 1 - len(row)))
-            row[l_exp] = coeff
-        return slices
+        return bool(self._slices)
 
     def min_t_exp(self) -> int:
         """Smallest t-exponent present, 0 for the zero polynomial."""
-        return self._t_range()[0] if self._terms else 0
+        return min(self._slices, default=0)
 
     def max_t_exp(self) -> int:
-        return self._t_range()[1] if self._terms else 0
+        return max(self._slices, default=0)
 
     def as_monomial(self) -> tuple[Rational, int, int] | None:
         """Return (coeff, l_exp, t_exp) if this is a single term, else None."""
-        if len(self._terms) != 1:
-            return None
-        ((key, coeff),) = self._terms.items()
-        l_exp, t_exp = _unpack(key)
-        return coeff, l_exp, t_exp
+        if len(self._slices) == 1:
+            ((t_exp, row),) = self._slices.items()
+            if len(row) == 1:
+                ((l_exp, coeff),) = row.items()
+                return coeff, l_exp, t_exp
+        return None
 
     def coefficient(self, l_exp: int, t_exp: int) -> Rational:
-        return self._terms.get(_pack(l_exp, t_exp), 0)
+        return self._slices.get(t_exp, {}).get(_valid_l_exp(l_exp), 0)
 
     # -- ring operations -------------------------------------------------
 
@@ -185,22 +153,34 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        big, small = self._terms, rhs._terms
+        big, small = self._slices, rhs._slices
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        for key, coeff in small.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
+        for t_exp, row in small.items():
+            target = out.get(t_exp)
+            if target is None:
+                out[t_exp] = row
+                continue
+            target = dict(target)
+            for l_exp, coeff in row.items():
+                acc = target.get(l_exp, 0) + coeff
+                if acc:
+                    target[l_exp] = acc
+                else:
+                    del target[l_exp]
+            if target:
+                out[t_exp] = target
             else:
-                del out[key]
+                del out[t_exp]
         return LaurentPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._wrap({key: -coeff for key, coeff in self._terms.items()})
+        return LaurentPoly._wrap(
+            {t: {l: -c for l, c in row.items()} for t, row in self._slices.items()}
+        )
 
     def __sub__(self, other) -> "LaurentPoly":
         rhs = self._coerce(other)
@@ -218,22 +198,28 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._terms, rhs._terms
+        a, b = self._slices, rhs._slices
         if not a or not b:
             return ZERO
-        (low_a, high_a), (low_b, high_b) = self._t_range(), rhs._t_range()
-        t_bounds = (low_a + low_b, high_a + high_b)
-        _check_t_range(*t_bounds)
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict[int, Rational] = {}
-        get = out.get
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-        # Q[l] has no zero divisors, so the extreme t-slices never cancel.
-        return LaurentPoly._wrap({k: c for k, c in out.items() if c}, t_bounds)
+        out: Slices = {}
+        for tb, row_b in b.items():
+            for ta, row_a in a.items():
+                target = out.get(ta + tb)
+                if target is None:
+                    target = out[ta + tb] = {}
+                get = target.get
+                for lb, cb in row_b.items():
+                    for la, ca in row_a.items():
+                        key = la + lb
+                        target[key] = get(key, 0) + ca * cb
+        # Only slices where terms cancelled are rebuilt.
+        for t_exp in [t for t, row in out.items() if not all(row.values())]:
+            row = {l_exp: c for l_exp, c in out[t_exp].items() if c}
+            if row:
+                out[t_exp] = row
+            else:
+                del out[t_exp]
+        return LaurentPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -253,11 +239,13 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._slices == rhs._slices
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(
+                frozenset((t, frozenset(row.items())) for t, row in self._slices.items())
+            )
         return self._hash
 
     # -- division --------------------------------------------------------
@@ -265,34 +253,42 @@ class LaurentPoly:
     def exact_div(self, other) -> "LaurentPoly":
         """Exact quotient self / other; InexactDivision if it does not divide.
 
-        Slice t of the remainder, for t = 0..t_span counted from each
+        Slice t of the remainder, for t = 0..t_span - 1 counted from each
         operand's minimal t-power, is cleared from its highest l down
         against the divisor's lowest slice.  Q[l] has no zero divisors, so
         t-spans add under multiplication: an exact quotient spans exactly
-        t_span, and any remainder left after the loop proves it inexact.
+        t_span slices, and any remainder left after the loop proves it
+        inexact.  A t_span above MAX_T_SPAN raises ExponentOverflow.
         """
         rhs = self._coerce(other)
         if rhs is None:
             raise TypeError("cannot divide by %r" % (other,))
-        if not rhs._terms:
+        num, den = self._slices, rhs._slices
+        if not den:
             raise DivisionByZero("division by zero polynomial")
-        if not self._terms:
+        if not num:
             return ZERO
-        num_shift, num_top = self._t_range()
-        den_shift, den_top = rhs._t_range()
-        t_span = (num_top - num_shift) - (den_top - den_shift)
-        shift = num_shift - den_shift
-        den_slices = rhs._t_slices()
-        degree, lead = len(den_slices[0]) - 1, den_slices[0][-1]
-        # Each divisor slice's t-offset and nonzero (l_exp, coeff) pairs.
-        den = [
-            (s, [(i, c) for i, c in enumerate(row) if c])
-            for s, row in den_slices.items()
-        ]
-        remainder = self._t_slices()
-        quotient: dict[int, Rational] = {}
-        for t in range(t_span + 1):
+        num_low, den_low = min(num), min(den)
+        t_span = (max(num) - num_low) - (max(den) - den_low) + 1
+        if t_span > MAX_T_SPAN:
+            raise ExponentOverflow(
+                "the quotient would span %d t-slices, more than %d"
+                % (t_span, MAX_T_SPAN)
+            )
+        shift = num_low - den_low
+        degree, lead = max(den[den_low].items())
+        # Each divisor slice's t-offset and its (l_exp, coeff) pairs, sorted by l.
+        den_rows = [(t - den_low, sorted(row.items())) for t, row in den.items()]
+        # Each numerator slice as a list indexed by l-exponent.
+        remainder: dict[int, list[Rational]] = {}
+        for t, row in num.items():
+            dense = remainder[t - num_low] = [0] * (max(row) + 1)
+            for l_exp, coeff in row.items():
+                dense[l_exp] = coeff
+        quotient: Slices = {}
+        for t in range(t_span):
             row = remainder.get(t, ())
+            q_row: dict[int, Rational] = {}
             for top_l in range(len(row) - 1, degree - 1, -1):
                 top = row[top_l]
                 if not top:
@@ -302,19 +298,19 @@ class LaurentPoly:
                 else:
                     coeff = _as_coeff(Fraction(top) / Fraction(lead))
                 q_l = top_l - degree
-                quotient[q_l * STRIDE + t + shift] = coeff
-                for s, den_row in den:
+                q_row[q_l] = coeff
+                for s, den_row in den_rows:
                     target = remainder.setdefault(t + s, [])
                     need = q_l + den_row[-1][0] + 1
                     if len(target) < need:
                         target.extend([0] * (need - len(target)))
                     for i, dcoeff in den_row:
                         target[q_l + i] -= coeff * dcoeff
+            if q_row:
+                quotient[t + shift] = q_row
         if any(any(row) for row in remainder.values()):
-            raise InexactDivision("nonzero remainder after %d t-slices" % (t_span + 1))
-        t_bounds = (shift, shift + t_span)
-        _check_t_range(*t_bounds)
-        return LaurentPoly._wrap(quotient, t_bounds)
+            raise InexactDivision("nonzero remainder after %d t-slices" % t_span)
+        return LaurentPoly._wrap(quotient)
 
     def __truediv__(self, other) -> "LaurentPoly":
         return self.exact_div(other)
@@ -329,40 +325,31 @@ class LaurentPoly:
             raise PoleAtZero("negative t-exponent evaluated at t=0")
         total: Rational = 0
         l_pows: dict[int, Rational] = {}
-        t_pows: dict[int, Rational] = {}
-        for key, coeff in self._terms.items():
-            l_exp, t_exp = _unpack(key)
-            lp = l_pows.get(l_exp)
-            if lp is None:
-                lp = l_pows[l_exp] = l_value**l_exp
-            tp = t_pows.get(t_exp)
-            if tp is None:
-                if t_exp >= 0:
-                    tp = t_value**t_exp
-                else:
-                    tp = Fraction(1) / Fraction(t_value) ** (-t_exp)
-                t_pows[t_exp] = tp
-            total = total + coeff * lp * tp
+        for t_exp, row in self._slices.items():
+            if t_exp >= 0:
+                tp = t_value**t_exp
+            else:
+                tp = Fraction(1) / Fraction(t_value) ** (-t_exp)
+            for l_exp, coeff in row.items():
+                lp = l_pows.get(l_exp)
+                if lp is None:
+                    lp = l_pows[l_exp] = l_value**l_exp
+                total = total + coeff * lp * tp
         return _as_coeff(Fraction(total)) if isinstance(total, Fraction) else total
 
     def limit_t0(self) -> "LaurentPoly":
         """Limit t -> 0: keep t^0 terms, drop positive ones, flag poles."""
-        out: dict[int, Rational] = {}
-        for key, coeff in self._terms.items():
-            l_exp, t_exp = _unpack(key)
-            if t_exp < 0:
-                raise PoleAtZero(
-                    "term with t-exponent %d has no t->0 limit" % t_exp
-                )
-            if t_exp == 0:
-                out[key] = coeff
-        return LaurentPoly._wrap(out)
+        low = self.min_t_exp()
+        if low < 0:
+            raise PoleAtZero("term with t-exponent %d has no t->0 limit" % low)
+        row = self._slices.get(0)
+        return LaurentPoly._wrap({0: row} if row else {})
 
     # -- text form -------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form, e.g. '1 + 1*l^1 + 3/2*l^2*t^3'."""
-        if not self._terms:
+        if not self._slices:
             return "0"
         parts = []
         for l_exp, t_exp, coeff in self.terms():
@@ -418,10 +405,10 @@ def _parse_term(chunk: str) -> tuple[Rational, int, int]:
 
 
 ZERO = LaurentPoly._wrap({})
-ONE = LaurentPoly._wrap({0: 1})
-LAM = LaurentPoly._wrap({STRIDE: 1})
-T_VAR = LaurentPoly._wrap({1: 1})
-ONE_PLUS_LAM = LaurentPoly._wrap({0: 1, STRIDE: 1})
+ONE = LaurentPoly._wrap({0: {0: 1}})
+LAM = LaurentPoly._wrap({0: {1: 1}})
+T_VAR = LaurentPoly._wrap({1: {0: 1}})
+ONE_PLUS_LAM = LaurentPoly._wrap({0: {0: 1, 1: 1}})
 
 
 def parse_rational(text: str) -> Rational:

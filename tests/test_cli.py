@@ -351,6 +351,13 @@ class TestKuoAndReproduce:
         assert "SizeMismatch" in err and "check 3 more than once" in err
         assert "PASS" not in out and "FAIL" not in out
 
+    def test_reproduce_refuses_an_unknown_check_before_running_any(self, capsys):
+        for checks, number in (("1,99", 99), ("0", 0)):
+            code, out, err = run(capsys, "reproduce", "--checks", checks)
+            assert code == 1
+            assert "SizeMismatch" in err and "check %d," % number in err
+            assert "PASS" not in out and "FAIL" not in out
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

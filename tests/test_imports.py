@@ -1,12 +1,22 @@
-"""Every name a module imports is used in it (no linter is configured)."""
+"""Every name a module imports is used in it (no linter is configured), and
+only laurent.py reads LaurentPoly's private attributes, so the layout of a
+value can change in that one module."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+from lambdadet.laurent import LaurentPoly
+
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src/lambdadet", "scripts", "tests")
+LAURENT = ROOT / "src/lambdadet/laurent.py"
+PRIVATE = frozenset(LaurentPoly.__slots__) | {"_wrap"}
+
+
+def scanned_files() -> list[Path]:
+    return [path for folder in SCANNED for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +34,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
+def private_reads(source: str) -> list[str]:
+    """Private LaurentPoly attributes that the module reads."""
+    return sorted(
+        {
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE
+        }
+    )
+
+
 def test_scanner_flags_only_unread_names():
     source = (
         "from __future__ import annotations\n"
@@ -37,9 +58,23 @@ def test_scanner_flags_only_unread_names():
 def test_no_unused_imports():
     found = [
         "%s: %s" % (path.relative_to(ROOT), name)
-        for folder in SCANNED
-        for path in sorted((ROOT / folder).glob("*.py"))
+        for path in scanned_files()
         if path.name != "__init__.py"
         for name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def test_scanner_flags_private_laurent_reads():
+    source = "def f(poly):\n    return poly._slices, poly.terms(), poly.__slots__\n"
+    assert private_reads(source) == ["_slices"]
+
+
+def test_only_laurent_reads_the_representation():
+    found = [
+        "%s: %s" % (path.relative_to(ROOT), name)
+        for path in scanned_files()
+        if path != LAURENT
+        for name in private_reads(path.read_text())
     ]
     assert found == []

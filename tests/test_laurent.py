@@ -17,6 +17,7 @@ from lambdadet.errors import (
 )
 from lambdadet.laurent import (
     LAM,
+    MAX_T_SPAN,
     ONE,
     ONE_PLUS_LAM,
     T_VAR,
@@ -128,40 +129,75 @@ class TestDivision:
 
 
 class TestExponentRange:
-    LIMIT = 1 << 22  # |t_exp| must stay below this
+    OLD_LIMIT = 1 << 22  # the t-range that packed exponent keys once held
 
-    def test_product_past_the_packed_range_raises(self):
-        # Used to wrap silently into 1*l^1*t^-6777216.
-        with pytest.raises(ExponentOverflow):
-            (T_VAR**5_000_000) * (T_VAR**5_000_000)
-        half = LaurentPoly.monomial(1, 0, 3_000_000)
-        with pytest.raises(ExponentOverflow):
-            half * half
+    def test_product_past_the_old_packed_range_is_exact(self):
+        assert T_VAR**5_000_000 * T_VAR**5_000_000 == LaurentPoly.monomial(
+            1, 0, 10_000_000
+        )
         low = LaurentPoly.monomial(1, 0, -3_000_000)
-        with pytest.raises(ExponentOverflow):
-            low * (ONE + low)
+        high = LaurentPoly.monomial(1, 0, 3_000_000)
+        assert high * high == LaurentPoly.monomial(1, 0, 6_000_000)
+        product = low * (ONE + low)
+        assert (product.min_t_exp(), product.max_t_exp()) == (-6_000_000, -3_000_000)
+        assert product.term_count == 2
+
+    def test_power_past_the_old_packed_range_is_exact(self):
+        assert (T_VAR**self.OLD_LIMIT).as_monomial() == (1, 0, self.OLD_LIMIT)
+        power = LaurentPoly.monomial(1, 1, -1) ** self.OLD_LIMIT
+        assert power.as_monomial() == (1, self.OLD_LIMIT, -self.OLD_LIMIT)
+
+    def test_construction_and_shifts_past_the_old_packed_range_are_exact(self):
+        assert LaurentPoly.monomial(1, 0, self.OLD_LIMIT).max_t_exp() == self.OLD_LIMIT
+        assert LaurentPoly([(1, 0, -self.OLD_LIMIT)]).min_t_exp() == -self.OLD_LIMIT
+        low = LaurentPoly.monomial(1, 0, -3_000_000)
+        high = LaurentPoly.monomial(1, 0, 3_000_000)
+        assert low.exact_div(high) == LaurentPoly.monomial(1, 0, -6_000_000)
+
+    def test_division_shift_past_the_packed_range_raises(self):
+        # A shift keeps the numerator's t-span, so a value spanning past the
+        # old packed range meets the quotient-span bound before any work.
+        wide = T_VAR**self.OLD_LIMIT + 1
+        shifts = (
+            T_VAR**5,
+            LaurentPoly.monomial(1, 1, -5),
+            LaurentPoly.monomial(3, 2, 0),
+        )
+        for shift in shifts:
+            start = time.perf_counter()
+            with pytest.raises(ExponentOverflow):
+                wide.exact_div(shift)
+            assert time.perf_counter() - start < 0.1
+        low = LaurentPoly.monomial(1, 0, -3_000_000)
+        assert (low * LAM).exact_div(low) == LAM
+
+    def test_construction_out_of_range_is_a_value_error(self):
+        # l-exponents must stay in Q[l]: no negative power of l is stored.
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(1, -1, self.OLD_LIMIT)
+        with pytest.raises(ValueError):
+            LaurentPoly([(1, 0, 0), (1, -2, -self.OLD_LIMIT)])
+        with pytest.raises(ValueError):
+            LaurentPoly.parse("l^-1")
 
     def test_products_up_to_the_bound_are_exact(self):
-        top = self.LIMIT - 1
+        top = self.OLD_LIMIT - 1
         value = LaurentPoly.monomial(1, 0, top - 5) * (LAM + T_VAR**5)
         assert value.max_t_exp() == top
         assert value.coefficient(1, top - 5) == 1
-        assert T_VAR ** (self.LIMIT // 2) * T_VAR ** (self.LIMIT // 2 - 1) == (
+        assert T_VAR ** (self.OLD_LIMIT // 2) * T_VAR ** (self.OLD_LIMIT // 2 - 1) == (
             LaurentPoly.monomial(1, 0, top)
         )
 
-    def test_power_past_the_packed_range_raises(self):
-        with pytest.raises(ExponentOverflow):
-            T_VAR**self.LIMIT
-        with pytest.raises(ExponentOverflow):
-            LaurentPoly.monomial(1, 1, -1) ** self.LIMIT
-
-    def test_division_shift_past_the_packed_range_raises(self):
-        low = LaurentPoly.monomial(1, 0, -3_000_000)
-        high = LaurentPoly.monomial(1, 0, 3_000_000)
-        with pytest.raises(ExponentOverflow):
-            low.exact_div(high)
-        assert (low * LAM).exact_div(low) == LAM
+    def test_quotient_span_past_the_bound_is_refused_quickly(self):
+        for numerator in (T_VAR ** (MAX_T_SPAN + 1) + 1, T_VAR ** (2**22 - 1) + 1):
+            start = time.perf_counter()
+            with pytest.raises(ExponentOverflow):
+                numerator.exact_div(T_VAR - 1)
+            assert time.perf_counter() - start < 0.1
+        # A quotient of exactly MAX_T_SPAN t-slices is still computed.
+        edge = ONE + T_VAR ** (MAX_T_SPAN - 1)
+        assert (edge * (ONE + T_VAR)).exact_div(ONE + T_VAR) == edge
 
     @given(nonzero_polys, nonzero_polys)
     def test_t_range_of_products_and_quotients(self, a, b):
@@ -175,11 +211,12 @@ class TestExponentRange:
             )
             assert value.max_t_exp() == fresh.max_t_exp()
 
-    def test_construction_out_of_range_is_a_value_error(self):
-        with pytest.raises(ExponentOverflow):
-            LaurentPoly.monomial(1, 0, self.LIMIT)
-        with pytest.raises(ValueError):
-            LaurentPoly([(1, 0, -self.LIMIT)])
+    def test_cancelled_slice_leaves_no_empty_slice(self):
+        value = (T_VAR + LAM) * (T_VAR - LAM)
+        assert value == T_VAR**2 - LAM**2
+        assert value.term_count == 2
+        total = (ONE + T_VAR) + (-T_VAR)
+        assert total == ONE and total.max_t_exp() == 0
 
 
 class TestEvaluation:

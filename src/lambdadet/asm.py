@@ -10,14 +10,15 @@ row is admissible when its own prefix sums also stay in {0, 1} and it
 ends at 1.  Each row raises the total sum by one, so depth n forces the
 all-ones profile.  Row r's share of the inversion count,
 sum_s b_rs * popcount(profile >> (s+1)), depends only on the profile and
-the row.  One cached table per size maps each profile to its admissible
-rows with their next profile, inv_r and neg_r (the row's -1 count).
-Every sum over ASMs (the count, the summation formula, the expanded term
-count, the masked-sum histogram as a polynomial in t) is one _fold over
-it; min_region_sum is a min-plus fold, since it returns a witness.  A
-fold costs (3^n - 1)/2 transitions, not the count: size 9 (911835460
-ASMs) takes hundredths of a second, and MAX_TRANSITIONS admits size 12
-(under a second, about 70 MB) and refuses 13 with TableTooLarge.  Only
+the row.  One table per size maps each profile to its admissible rows
+with their next profile, inv_r and neg_r (the row's -1 count); tables up
+to size MAX_CACHED_SIZE = 8 stay cached.  Every sum over ASMs (the count,
+the summation formula, the expanded term count, the masked-sum histogram
+as a polynomial in t) is one _fold over the table; min_region_sum is a
+min-plus fold, since it returns a witness.  A fold costs (3^n - 1)/2
+transitions, not the count: size 9 (911835460 ASMs) takes hundredths of
+a second, and MAX_TRANSITIONS admits size 12 (under a second, about
+70 MB, freed after the fold) and refuses 13 with TableTooLarge.  Only
 enumerate_asms lists matrices, for `asm enumerate|stats` and as the
 tests' oracle; it refuses sizes above its cap argument, 7 by default.
 """
@@ -30,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator
 
+from .condensation import _coefficient_weights, _divide_by
 from .errors import CapExceeded, DivisionByZero, NonMonomialEntry, TableTooLarge
 from .laurent import LAM, ONE, ONE_PLUS_LAM, LaurentPoly
 from .matrices import PolyMatrix
@@ -38,6 +40,7 @@ ASM = tuple[tuple[int, ...], ...]
 
 DEFAULT_CAP = 7
 MAX_TRANSITIONS = (3**12 - 1) // 2
+MAX_CACHED_SIZE = 8
 
 
 def enumerate_asms(n: int, cap: int = DEFAULT_CAP) -> Iterator[ASM]:
@@ -65,9 +68,18 @@ def enumerate_asms(n: int, cap: int = DEFAULT_CAP) -> Iterator[ASM]:
 Transition = tuple[tuple[int, ...], int, int, int]
 
 
-@cache
 def _table(n: int) -> dict[int, tuple[Transition, ...]]:
     """Profile -> every admissible row as (row, next_profile, inv_r, neg_r).
+
+    Tables up to MAX_CACHED_SIZE stay cached, since the checks reuse them;
+    a larger one (about 67 MB at size 12) is built for each fold and freed
+    with it.
+    """
+    return _cached_table(n) if n <= MAX_CACHED_SIZE else _build_table(n)
+
+
+def _build_table(n: int) -> dict[int, tuple[Transition, ...]]:
+    """The table of _table, built without the cache.
 
     Every profile short of all-ones is reached by a partial permutation
     matrix and can be completed, so the keys are exactly the states of
@@ -112,6 +124,9 @@ def _table(n: int) -> dict[int, tuple[Transition, ...]]:
         table[profile] = tuple(moves)
         moves.clear()
     return table
+
+
+_cached_table = cache(_build_table)
 
 
 def _fold(n: int, start, weight):
@@ -203,7 +218,8 @@ def asm_stats(asm: ASM) -> ASMStats:
     return ASMStats(inversions, negatives)
 
 
-def _invert_entry(value: LaurentPoly) -> LaurentPoly:
+def _scaled_inverse(value: LaurentPoly, scale: int) -> LaurentPoly:
+    """scale / value for an invertible monomial entry."""
     mono = value.as_monomial()
     if mono is None:
         if value.is_zero():
@@ -214,7 +230,7 @@ def _invert_entry(value: LaurentPoly) -> LaurentPoly:
     coeff, l_exp, t_exp = mono
     if l_exp:
         raise NonMonomialEntry("entry %s with a positive l-power has no inverse" % value)
-    return LaurentPoly.monomial(Fraction(1, 1) / Fraction(coeff), 0, -t_exp)
+    return LaurentPoly.monomial(Fraction(scale) / Fraction(coeff), 0, -t_exp)
 
 
 def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
@@ -226,8 +242,13 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
 
     Folded over profiles: row r contributes
     l^(inv_r - neg_r) (1+l)^neg_r prod_j M_rj^b_rj, a polynomial in l
-    because inv_r >= neg_r (the +1 left of each -1 outweighs it).
+    because inv_r >= neg_r (the +1 left of each -1 outweighs it).  Each
+    row's weight is scaled by prod_j u_rj, with u as in condensation's
+    integer scaling (|c| for an entry c*t^e with an int c, else 1), so a
+    -1 on such an entry contributes sign(c) t^-e and the fold stays on
+    ints; the sum is divided by the product of all u at the end.
     """
+    units = _coefficient_weights(matrix)
     products: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
     powers: dict[tuple[int, int], LaurentPoly] = {}
     weights: dict[tuple[int, tuple[int, ...], int, int], LaurentPoly] = {}
@@ -240,11 +261,16 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
         product = products.get((r, row))
         if product is None:
             product = ONE
+            scale = 1
             for j, b in enumerate(row):
-                if b == 1:
-                    product = product * matrix.rows[r][j]
-                elif b == -1:
-                    product = product * _invert_entry(matrix.rows[r][j])
+                if b == -1:
+                    product = product * _scaled_inverse(matrix.rows[r][j], units[r][j])
+                else:
+                    scale *= units[r][j]
+                    if b == 1:
+                        product = product * matrix.rows[r][j]
+            if scale != 1:
+                product = product * scale
             products[(r, row)] = product
         power = powers.get((inv - neg, neg))
         if power is None:
@@ -252,7 +278,8 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
         value = weights[key] = power * product
         return value
 
-    return _fold(matrix.size, ONE, weight)
+    total = _fold(matrix.size, ONE, weight)
+    return _divide_by(total, math.prod(u for line in units for u in line))
 
 
 def expanded_term_count(matrix_size: int) -> int:

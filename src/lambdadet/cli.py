@@ -413,6 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-1,2" after --checks as an option, not as its value;
+    # joined, it reaches the same range check as --checks=-1,2.
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--checks" and argv[i + 1][1:2].isdigit():
+            argv[i : i + 2] = ["--checks=" + argv[i + 1]]
+            break
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -170,16 +170,21 @@ def _corner_pair(weights: list[list[int]]) -> Pair:
     return pair
 
 
-def _unscale(value: LaurentPoly, weights: list[list[int]], k: int, i: int, j: int):
-    """value / pi(C) for the k-window at 0-based (i, j), C its central window."""
-    scale = math.prod(
-        u for line in weights[i + 1 : i + k - 1] for u in line[j + 1 : j + k - 1]
-    )
+def _divide_by(value: LaurentPoly, scale: int) -> LaurentPoly:
+    """value / scale for a nonzero int scale."""
     if scale == 1:
         return value
     # The constructor stores an integral Fraction as an int.
     return LaurentPoly(
         (Fraction(coeff, scale), l_exp, t_exp) for l_exp, t_exp, coeff in value.terms()
+    )
+
+
+def _unscale(value: LaurentPoly, weights: list[list[int]], k: int, i: int, j: int):
+    """value / pi(C) for the k-window at 0-based (i, j), C its central window."""
+    return _divide_by(
+        value,
+        math.prod(u for line in weights[i + 1 : i + k - 1] for u in line[j + 1 : j + k - 1]),
     )
 
 

@@ -26,31 +26,66 @@ a coefficient equals, hashes and prints like its int, so values compare
 and print the same either way.  Slices are never changed once a value
 holds them, so values may share them.
 
-Exact division is long division in t over Q[l]: the loop runs over the
-quotient's t-slices, clearing dense lists of l-coefficients built from
-the operands' slices.  It is the one bounded operation: a quotient of
-more than MAX_T_SPAN = 2**18 t-slices raises ExponentOverflow before the
-loop starts.  At the bound, (t^262144 + 1) / (t - 1) fails in about 1 s
-(2-CPU machine, CPython 3.11).  The bound caps the number of slices, not
-the work per slice: a divisor whose lowest slice leads with a coefficient
-other than +-1, or whose higher slices reach a higher l-degree, grows the
-remainder slice by slice, and a long inexact division then costs about
-the square of its span ((t^32768 + 1) / (t - 2) takes about 1 s).
+Packed slices.  A t-slice of int coefficients, packed, is one Python int:
+its value at l = 2**B, sum of coeff * 2**(B * l_exp).  Packing is a ring
+map from Z[l], so a product of two slices is one bigint product, and a
+sum of such products is one bigint sum.  The result unpacks to its
+coefficients as signed base-2**B digits, a digit at or above 2**(B-1)
+being negative and borrowing one from the next, provided every
+coefficient lies strictly inside +-2**(B-1).  The width rule makes sure
+of that: an output coefficient of a * b sums at most m * s products of
+two input coefficients, where m is the smaller of the operands' longest
+slices (max l + 1) and s the smaller of their slice counts, so
+
+    B = bitlen(max|a| * max|b| * m * s) + 2.
+
+A product whose operands hold only ints, and more than DICT_MAX_TERMS
+terms each, packs every slice once, multiplies the slices pairwise, sums
+the products per output t-exponent and unpacks each output slice once.
+Any other product (a Fraction coefficient, or a small operand, where
+packing costs more than it saves) takes the dict loop over pairs of
+terms.  Both give the same values, with int coefficients from ints.
+DICT_MAX_TERMS = 8 comes from timing both paths on every product of the
+benchmark's diamond and ASM workloads, grouped by the smaller operand's
+term count: the dict loop won up to 6 terms, whatever the number of
+slices, the two were even from 7 to 17, and packing won beyond.
+
+Exact division is long division in t over Q[l], one quotient slice at a
+time (see exact_div); with int operands, a primitive divisor and more
+than DICT_MAX_TERMS divisor terms, each slice's remainder is formed as
+one packed dot product.  The cut-off is the product's, counted on the
+divisor: timing both paths on every division of one diamond_limit batch
+(395), grouped by divisor term count, packing lost by 10-20% up to 8
+terms, the two were even from 9 to 20, and packing won beyond (0.033 ->
+0.021 s on the 41 divisions of 21-60 terms, 0.119 -> 0.048 s on the 15
+larger ones).  Division is bounded in t: a quotient of more than
+MAX_T_SPAN = 2**18 t-slices raises ExponentOverflow before the loop
+starts, the loop walks the quotient's slices densely and past them only
+the slices that occur, and at the bound (t^262144 + 1) / (t - 1) fails
+in about 1.3 s (2-CPU machine, CPython 3.11).  It is bounded in l only by the window
+of possible quotient l-exponents and, for int operands with a primitive
+divisor, by Gauss's lemma, which stops it at the first quotient
+coefficient that is not an integer: (t^32768 + 1) / (t - 2) fails at
+once.  Two cases still spin.  (l^N + 1) / (l + 2) has a unit lead, so it
+clears N quotient terms whose coefficients double each time (0.2 s at
+N = 20000, quadratic in N), and a divisor with Fraction coefficients, or
+an int one that is not primitive, gets no early exit from the lemma.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, ExponentOverflow, InexactDivision, PoleAtZero
 
 MAX_T_SPAN = 1 << 18
+DICT_MAX_TERMS = 8
 
 Rational = int | Fraction
 Slices = dict[int, dict[int, Rational]]
-
 
 def _valid_l_exp(l_exp: int) -> int:
     if l_exp < 0:
@@ -64,6 +99,84 @@ def _as_coeff(value: Rational) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError("coefficient must be int or Fraction, got %r" % (value,))
+
+
+def _term_count(slices: Slices) -> int:
+    return sum(map(len, slices.values()))
+
+
+def _int_shape(slices: Slices) -> tuple[int, int] | None:
+    """(largest |coeff|, longest slice as max l + 1), or None if a
+    coefficient is not an int."""
+    top = length = 0
+    for row in slices.values():
+        values = row.values()
+        if not all(map(int.__instancecheck__, values)):
+            return None
+        top = max(top, max(map(abs, values)))
+        length = max(length, max(row))
+    return top, length + 1
+
+
+def _primitive_shapes(
+    num: Slices, den: Slices
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The _int_shape of num and of den, or None unless both are all-int
+    and den is primitive (the gcd of its coefficients is 1)."""
+    num_shape = _int_shape(num)
+    den_shape = _int_shape(den) if num_shape else None
+    if den_shape and gcd(*(gcd(*row.values()) for row in den.values())) == 1:
+        return num_shape, den_shape
+    return None
+
+
+def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
+    """Sum of coeff * 2**(width * l_exp): the slice evaluated at l = 2**width."""
+    packed = 0
+    for l_exp, coeff in pairs:
+        packed += coeff << (width * l_exp)
+    return packed
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """The signed base-2**width digits of packed, lowest first.
+
+    The inverse of _pack for coefficients inside +-2**(width - 1): a digit
+    at or above half the base is negative and borrows one from the next.
+    """
+    digits = []
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    while packed:
+        digit = packed & mask
+        packed >>= width
+        if digit >= half:
+            digit -= mask + 1
+            packed += 1
+        digits.append(digit)
+    return digits
+
+
+def _packed_product(
+    a: Slices, b: Slices, shape_a: tuple[int, int], shape_b: tuple[int, int]
+) -> Slices:
+    """a * b for int slices: one bigint product per pair of t-slices."""
+    # An output coefficient sums at most m * s products of two input
+    # coefficients, m the shorter longest slice and s the fewer slices.
+    bound = shape_a[0] * shape_b[0] * min(shape_a[1], shape_b[1]) * min(len(a), len(b))
+    width = bound.bit_length() + 2
+    packed_a = [(t, _pack(row.items(), width)) for t, row in a.items()]
+    sums: dict[int, int] = {}
+    for tb, row in b.items():
+        pb = _pack(row.items(), width)
+        for ta, pa in packed_a:
+            sums[ta + tb] = sums.get(ta + tb, 0) + pa * pb
+    out: Slices = {}
+    for t, packed in sums.items():
+        row = {l_exp: c for l_exp, c in enumerate(_unpack(packed, width)) if c}
+        if row:
+            out[t] = row
+    return out
 
 
 class LaurentPoly:
@@ -113,7 +226,7 @@ class LaurentPoly:
 
     @property
     def term_count(self) -> int:
-        return sum(map(len, self._slices.values()))
+        return _term_count(self._slices)
 
     def is_zero(self) -> bool:
         return not self._slices
@@ -201,6 +314,11 @@ class LaurentPoly:
         a, b = self._slices, rhs._slices
         if not a or not b:
             return ZERO
+        if min(_term_count(a), _term_count(b)) > DICT_MAX_TERMS:
+            shape_a = _int_shape(a)
+            shape_b = _int_shape(b) if shape_a else None
+            if shape_b:
+                return LaurentPoly._wrap(_packed_product(a, b, shape_a, shape_b))
         out: Slices = {}
         for tb, row_b in b.items():
             for ta, row_a in a.items():
@@ -253,12 +371,34 @@ class LaurentPoly:
     def exact_div(self, other) -> "LaurentPoly":
         """Exact quotient self / other; InexactDivision if it does not divide.
 
-        Slice t of the remainder, for t = 0..t_span - 1 counted from each
-        operand's minimal t-power, is cleared from its highest l down
-        against the divisor's lowest slice.  Q[l] has no zero divisors, so
-        t-spans add under multiplication: an exact quotient spans exactly
-        t_span slices, and any remainder left after the loop proves it
-        inexact.  A t_span above MAX_T_SPAN raises ExponentOverflow.
+        Long division in t over Q[l].  Counted from each operand's lowest
+        t-power, quotient slice q_t solves q_t * d_0 = r_t, where d_0 is the
+        divisor's lowest slice and r_t = n_t - sum_{s>=1} q_{t-s} * d_s.
+        Each r_t is divided in l by d_0 from its highest term down.  Q[l]
+        has no zero divisors, so t-spans add under multiplication: an exact
+        quotient spans exactly t_span slices, every r_t past them must be
+        zero, and so must every l-remainder.  The loop walks t = 0 ..
+        t_span - 1 densely, and past t_span only the t where some n_t or
+        some q_{t-s} * d_s occurs, so a t_span above MAX_T_SPAN, refused
+        with ExponentOverflow before any work, is the only bound in t it
+        needs: (t^N + 1) / (t^N + 1) takes one step and two checks for any
+        N.  The quotient's l-exponents lie in [ord_l(num) - ord_l(den),
+        deg_l(num) - deg_l(den)], again as Q[l] has no zero divisors: an
+        empty window, or a quotient term outside it, raises InexactDivision.
+
+        When every coefficient is an int and the divisor is primitive (its
+        coefficients have gcd 1), Gauss's lemma makes an exact quotient
+        integral, so the first quotient coefficient that is not an integer
+        raises InexactDivision.  A divisor of more than DICT_MAX_TERMS terms
+        then forms each r_t as one packed dot product (module docstring),
+        unpacked once: r_t's coefficients are bounded by
+        |n| + |q| * |d| * m * s (largest coefficients so far, m the shorter
+        of the longest q- and d-slices, s the number of products), and the
+        width B from that bound only grows, so packed slices are reused
+        until it does.  All other operands form r_t on dense lists: the dict
+        path.  What still spins: (l^N + 1) / (l + 2) clears N quotient terms
+        whose coefficients double each time (about 0.2 s at N = 20000), and
+        a Fraction or non-primitive divisor gets no early exit from the lemma.
         """
         rhs = self._coerce(other)
         if rhs is None:
@@ -275,42 +415,104 @@ class LaurentPoly:
                 "the quotient would span %d t-slices, more than %d"
                 % (t_span, MAX_T_SPAN)
             )
-        shift = num_low - den_low
-        degree, lead = max(den[den_low].items())
-        # Each divisor slice's t-offset and its (l_exp, coeff) pairs, sorted by l.
-        den_rows = [(t - den_low, sorted(row.items())) for t, row in den.items()]
-        # Each numerator slice as a list indexed by l-exponent.
-        remainder: dict[int, list[Rational]] = {}
-        for t, row in num.items():
-            dense = remainder[t - num_low] = [0] * (max(row) + 1)
-            for l_exp, coeff in row.items():
-                dense[l_exp] = coeff
+        l_low = min(map(min, num.values())) - min(map(min, den.values()))
+        l_high = max(map(max, num.values())) - max(map(max, den.values()))
+        if l_low > l_high:
+            raise InexactDivision(
+                "the quotient's l-exponents would lie in [%d, %d]" % (l_low, l_high)
+            )
+        low_row = sorted(den[den_low].items())
+        degree, lead = low_row[-1]
+        # The divisor's higher slices: t-offset, sorted (l_exp, coeff) pairs.
+        den_rows = [
+            (t - den_low, sorted(row.items())) for t, row in den.items() if t != den_low
+        ]
+        shapes = _primitive_shapes(num, den)
+        integral = shapes is not None
+        packed_path = integral and _term_count(den) > DICT_MAX_TERMS
+        if packed_path:
+            (num_top, _), (den_top, den_len) = shapes
         quotient: Slices = {}
-        for t in range(t_span):
-            row = remainder.get(t, ())
-            q_row: dict[int, Rational] = {}
-            for top_l in range(len(row) - 1, degree - 1, -1):
-                top = row[top_l]
-                if not top:
-                    continue
-                if isinstance(top, int) and isinstance(lead, int) and top % lead == 0:
-                    coeff: Rational = top // lead
-                else:
-                    coeff = _as_coeff(Fraction(top) / Fraction(lead))
-                q_l = top_l - degree
-                q_row[q_l] = coeff
-                for s, den_row in den_rows:
-                    target = remainder.setdefault(t + s, [])
-                    need = q_l + den_row[-1][0] + 1
-                    if len(target) < need:
-                        target.extend([0] * (need - len(target)))
-                    for i, dcoeff in den_row:
-                        target[q_l + i] -= coeff * dcoeff
+        q_top = q_len = width = 0
+        q_packs: dict[int, int] = {}
+        d_packs: dict[int, int] = {}
+        # t -> the (t - s, s, d_s) whose product q_{t-s} * d_s r_t subtracts.
+        pending: dict[int, list[tuple[int, int, list[tuple[int, Rational]]]]] = {}
+
+        def steps() -> Iterator[int]:
+            yield from range(t_span)
+            # Past t_span only the slices some n_t or q_{t-s} * d_s reaches
+            # can be nonzero; every such t has been queued by now.
+            tail = {t - num_low for t in num if t - num_low >= t_span}
+            yield from sorted(tail.union(pending))
+
+        for t in steps():
+            row = num.get(t + num_low, {})
+            terms = pending.pop(t, ())
+            if not (row or terms):
+                continue
+            if packed_path and terms:
+                bound = num_top + q_top * den_top * min(q_len, den_len) * len(terms)
+                if bound.bit_length() + 2 > width:
+                    width = bound.bit_length() + 2
+                    q_packs.clear()
+                    d_packs.clear()
+                packed = _pack(row.items(), width)
+                for tq, s, d_row in terms:
+                    pq = q_packs.get(tq)
+                    if pq is None:
+                        pq = q_packs[tq] = _pack(quotient[tq].items(), width)
+                    pd = d_packs.get(s)
+                    if pd is None:
+                        pd = d_packs[s] = _pack(d_row, width)
+                    packed -= pq * pd
+                remainder = _unpack(packed, width)
+            else:
+                remainder = [0] * (max(row, default=-1) + 1)
+                for l_exp, coeff in row.items():
+                    remainder[l_exp] = coeff
+                for tq, _, d_row in terms:
+                    q_row = quotient[tq]
+                    need = max(q_row) + d_row[-1][0] + 1
+                    if len(remainder) < need:
+                        remainder.extend([0] * (need - len(remainder)))
+                    for q_l, q_coeff in q_row.items():
+                        for d_l, d_coeff in d_row:
+                            remainder[q_l + d_l] -= q_coeff * d_coeff
+            q_row = {}
+            if t < t_span:
+                for top_l in range(len(remainder) - 1, degree - 1, -1):
+                    top = remainder[top_l]
+                    if not top:
+                        continue
+                    q_l = top_l - degree
+                    if not l_low <= q_l <= l_high:
+                        raise InexactDivision(
+                            "quotient term l^%d lies outside [%d, %d]" % (q_l, l_low, l_high)
+                        )
+                    if isinstance(top, int) and isinstance(lead, int) and top % lead == 0:
+                        coeff: Rational = top // lead
+                    else:
+                        if integral:
+                            raise InexactDivision(
+                                "quotient coefficient %s/%s is not an integer" % (top, lead)
+                            )
+                        coeff = _as_coeff(Fraction(top) / Fraction(lead))
+                    q_row[q_l] = coeff
+                    for i, d_coeff in low_row:
+                        remainder[q_l + i] -= coeff * d_coeff
+                remainder = remainder[:degree]
+            if any(remainder):
+                raise InexactDivision("nonzero remainder at t-slice %d of %d" % (t, t_span))
             if q_row:
-                quotient[t + shift] = q_row
-        if any(any(row) for row in remainder.values()):
-            raise InexactDivision("nonzero remainder after %d t-slices" % t_span)
-        return LaurentPoly._wrap(quotient)
+                quotient[t] = q_row
+                for s, d_row in den_rows:
+                    pending.setdefault(t + s, []).append((t, s, d_row))
+                if packed_path:
+                    q_top = max(q_top, max(map(abs, q_row.values())))
+                    q_len = max(q_len, max(q_row) + 1)
+        shift = num_low - den_low
+        return LaurentPoly._wrap({t + shift: row for t, row in quotient.items()})
 
     def __truediv__(self, other) -> "LaurentPoly":
         return self.exact_div(other)

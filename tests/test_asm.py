@@ -9,7 +9,9 @@ from random import Random
 import pytest
 
 from lambdadet.asm import (
+    MAX_CACHED_SIZE,
     ASMStats,
+    _cached_table,
     _table,
     asm_count_formula,
     asm_stats,
@@ -138,6 +140,15 @@ class TestEnumeration:
 
 
 class TestTransitionTable:
+    def test_only_small_tables_stay_cached(self):
+        # A size-12 table holds about 67 MB, so a large fold must not keep it.
+        _cached_table.cache_clear()
+        assert count_asms(10) == asm_count_formula(10)
+        assert _cached_table.cache_info().currsize == 0
+        assert count_asms(MAX_CACHED_SIZE) == asm_count_formula(MAX_CACHED_SIZE)
+        assert _table(MAX_CACHED_SIZE) is _table(MAX_CACHED_SIZE)
+        assert _cached_table.cache_info().currsize == 1
+
     def test_table_matches_its_definition(self):
         for n in range(1, 7):
             table = _table(n)

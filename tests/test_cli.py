@@ -358,6 +358,13 @@ class TestKuoAndReproduce:
             assert "SizeMismatch" in err and "check %d," % number in err
             assert "PASS" not in out and "FAIL" not in out
 
+    def test_reproduce_reads_a_negative_check_as_a_value(self, capsys):
+        for argv in (["--checks", "-1,2"], ["--checks=-1,2"]):
+            code, out, err = run(capsys, "reproduce", *argv)
+            assert code == 1
+            assert "SizeMismatch" in err and "check -1," in err
+            assert "PASS" not in out and "FAIL" not in out
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

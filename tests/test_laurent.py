@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdadet.errors import (
@@ -45,6 +45,37 @@ monomials = st.builds(
     st.integers(0, 5),
     st.integers(-4, 4),
 )
+
+# Values that reach the packed paths: dense runs of l-coefficients of up
+# to 200 bits, l up to about 60, negative t-exponents.
+wide_ints = st.integers(-(2**200), 2**200)
+wide_rationals = st.one_of(
+    wide_ints, st.builds(Fraction, wide_ints, st.integers(1, 2**64))
+)
+
+
+@st.composite
+def dense_polys(draw, coefficients=wide_ints):
+    t_low = draw(st.integers(-6, 3))
+    terms = []
+    for t_exp in range(t_low, t_low + draw(st.integers(1, 4))):
+        l_low = draw(st.integers(0, 30))
+        run = draw(st.lists(coefficients, min_size=1, max_size=30))
+        terms += [(coeff, l_low + i, t_exp) for i, coeff in enumerate(run)]
+    return LaurentPoly(terms)
+
+
+def term_by_term_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(
+        (ca * cb, la + lb, ta + tb)
+        for la, ta, ca in a.terms()
+        for lb, tb, cb in b.terms()
+    )
+
+
+def all_int(value: LaurentPoly) -> bool:
+    return all(type(coeff) is int for _, _, coeff in value.terms())
+
 
 lambda_values = st.one_of(
     st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -115,6 +146,37 @@ class TestDivision:
         quotient = (T_VAR**400 - 1).exact_div(T_VAR - 1)
         assert quotient == sum((T_VAR**k for k in range(400)), ZERO)
 
+    def test_inexact_division_by_a_non_unit_lead_is_refused_quickly(self):
+        # (t - 2) is primitive, so by Gauss's lemma the quotient's first
+        # coefficient, 1/(-2), already proves the division inexact.
+        start = time.perf_counter()
+        with pytest.raises(InexactDivision):
+            (T_VAR ** 2**15 + 1).exact_div(T_VAR - 2)
+        assert time.perf_counter() - start < 0.1
+
+    def test_inexact_division_with_an_empty_l_window_is_refused_quickly(self):
+        # deg_l(num) - deg_l(den) = -2 < 0 = ord_l(num) - ord_l(den).
+        start = time.perf_counter()
+        with pytest.raises(InexactDivision):
+            (T_VAR**2000 + 1).exact_div(ONE + LAM**2 * T_VAR)
+        assert time.perf_counter() - start < 0.1
+        # A quotient term above the window is refused as it appears.
+        with pytest.raises(InexactDivision):
+            (T_VAR**2000 + LAM**2).exact_div(ONE + LAM**2 * T_VAR)
+
+    def test_sparse_division_by_a_long_divisor_is_quick(self):
+        # The quotients span one or two t-slices; past them only the slices
+        # that occur are checked, not the 2**24 t-powers between them.
+        long = T_VAR ** 2**24 + 1
+        start = time.perf_counter()
+        assert long.exact_div(long) == ONE
+        assert (long * (1 + T_VAR)).exact_div(long) == 1 + T_VAR
+        with pytest.raises(InexactDivision):
+            (T_VAR ** 2**24 + 2).exact_div(long)
+        with pytest.raises(InexactDivision):
+            (long + T_VAR ** 2**23).exact_div(long)
+        assert time.perf_counter() - start < 0.1
+
     def test_division_by_zero_is_refused(self):
         with pytest.raises(DivisionByZero):
             ONE.exact_div(ZERO)
@@ -126,6 +188,84 @@ class TestDivision:
 
     def test_truediv_operator(self):
         assert (ONE_PLUS_LAM**3) / ONE_PLUS_LAM == ONE_PLUS_LAM**2
+
+
+class TestPackedArithmetic:
+    """Products and quotients of wide dense values against oracles built
+    term by term through the constructor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_polys(), dense_polys())
+    def test_int_product_matches_the_term_by_term_product(self, a, b):
+        product = a * b
+        expected = term_by_term_product(a, b)
+        assert product == expected and hash(product) == hash(expected)
+        assert list(product.terms()) == list(expected.terms())
+        assert all_int(product)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_polys(), dense_polys(wide_rationals))
+    def test_mixed_product_matches_the_term_by_term_product(self, a, b):
+        assert a * b == term_by_term_product(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_polys(), dense_polys().filter(bool))
+    def test_int_division_undoes_the_product(self, a, b):
+        quotient = (a * b).exact_div(b)
+        assert quotient == a and hash(quotient) == hash(a)
+        assert all_int(quotient)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_polys(), dense_polys(wide_rationals).filter(bool))
+    def test_mixed_division_undoes_the_product(self, a, b):
+        assert (a * b).exact_div(b) == a
+
+    def test_coefficients_at_the_width_bound(self):
+        # Every coefficient is +-top, so the middle output coefficient is
+        # top * top * m * s, the very bound the packing width comes from.
+        top, m, s = 2**150 - 1, 24, 3
+        a = LaurentPoly((top, l, t) for l in range(m) for t in range(-1, s - 1))
+        for sign in (1, -1):
+            b = LaurentPoly((sign * top, l, t) for l in range(m) for t in range(s))
+            product = a * b
+            assert product == term_by_term_product(a, b)
+            assert product.coefficient(m - 1, s - 2) == sign * top * top * m * s
+            assert product.exact_div(b) == a and product.exact_div(a) == b
+        alternating = LaurentPoly(
+            ((-1) ** (l + t) * top, l, t) for l in range(m) for t in range(s)
+        )
+        assert a * alternating == term_by_term_product(a, alternating)
+
+    def test_product_that_cancels_whole_slices(self):
+        p = LaurentPoly((3**l - 2**60, l, 0) for l in range(40))
+        q = LaurentPoly((5**l + 7, l, -2) for l in range(40))
+        product = (p + q) * (p - q)
+        assert product == p * p - q * q == term_by_term_product(p + q, p - q)
+        # The p*q cross terms cancel, t^-2 included: only t^0 and t^-4 remain.
+        assert [t for t in (-4, -3, -2, -1, 0) if any(
+            product.coefficient(l, t) for l in range(80))] == [-4, 0]
+        assert product.term_count == (p * p).term_count + (q * q).term_count
+
+    def test_division_whose_remainders_outgrow_the_numerator(self):
+        # Each remainder slice r_t = q_t * d_0 peaks near 51 * 70 while the
+        # numerator, q * (D + (1 - D) t), stays under 130: the packing
+        # width must come from the quotient found so far, not from the
+        # numerator alone.
+        d_0 = ONE_PLUS_LAM**8
+        den = d_0 + (ONE - d_0) * T_VAR
+        tent = LaurentPoly((min(t, 100 - t) + 1, 0, t) for t in range(101))
+        num = tent * den
+        assert max(abs(c) for _, _, c in num.terms()) < 130
+        assert num.exact_div(den) == tent
+
+    def test_non_primitive_divisor_gives_a_rational_quotient(self):
+        a = LaurentPoly((l + 1, l, t) for l in range(12) for t in (-1, 0, 1))
+        b = LaurentPoly((6 * (l + 2), l, t) for l in range(10) for t in (0, 1))
+        assert (a * b).exact_div(b) == a and all_int((a * b).exact_div(b))
+        half = LaurentPoly((Fraction(l + 1, 2), l, t) for l in range(12) for t in (-1, 0, 1))
+        assert (a * b).exact_div(b * 2) == half
+        with pytest.raises(InexactDivision):
+            (a * b + ONE).exact_div(b)
 
 
 class TestExponentRange:

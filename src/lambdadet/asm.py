@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator
 
-from .condensation import _coefficient_weights, _divide_by
 from .errors import CapExceeded, DivisionByZero, NonMonomialEntry, TableTooLarge
 from .laurent import LAM, ONE, ONE_PLUS_LAM, LaurentPoly
 from .matrices import PolyMatrix
@@ -218,6 +217,18 @@ def asm_stats(asm: ASM) -> ASMStats:
     return ASMStats(inversions, negatives)
 
 
+def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]]:
+    """u per entry: |c| for a monomial c*t^e with int c, else 1."""
+    weights = []
+    for row in matrix.rows:
+        line = []
+        for cell in row:
+            mono = cell.as_monomial()
+            line.append(abs(mono[0]) if mono and isinstance(mono[0], int) else 1)
+        weights.append(line)
+    return weights
+
+
 def _scaled_inverse(value: LaurentPoly, scale: int) -> LaurentPoly:
     """scale / value for an invertible monomial entry."""
     mono = value.as_monomial()
@@ -243,10 +254,10 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
     Folded over profiles: row r contributes
     l^(inv_r - neg_r) (1+l)^neg_r prod_j M_rj^b_rj, a polynomial in l
     because inv_r >= neg_r (the +1 left of each -1 outweighs it).  Each
-    row's weight is scaled by prod_j u_rj, with u as in condensation's
-    integer scaling (|c| for an entry c*t^e with an int c, else 1), so a
-    -1 on such an entry contributes sign(c) t^-e and the fold stays on
-    ints; the sum is divided by the product of all u at the end.
+    row's weight is scaled by prod_j u_rj, with u = |c| for an entry c*t^e
+    with an int c and 1 for any other entry, so a -1 on such an entry
+    contributes sign(c) t^-e and the fold's values keep denominator 1; the
+    sum is divided by the product of all u at the end.
     """
     units = _coefficient_weights(matrix)
     products: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
@@ -279,7 +290,7 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
         return value
 
     total = _fold(matrix.size, ONE, weight)
-    return _divide_by(total, math.prod(u for line in units for u in line))
+    return total * Fraction(1, math.prod(u for line in units for u in line))
 
 
 def expanded_term_count(matrix_size: int) -> int:

@@ -21,35 +21,15 @@ A matrix and its transpose share the same pyramid up to reflection, so
 for symmetric input each layer is computed above the diagonal only and
 mirrored.
 
-Integer scaling.  A window's value is a Laurent polynomial in its
-entries, and an ASM's -1 puts M_ij^-1 into its term.  Monomial entries
-c*t^e with |c| > 1 would therefore fill every value with 1/c
-coefficients and run the whole recurrence on Fractions.  The symbolic
-engine instead carries P(W) = V(W) * pi(C) for each k-window W with
-k >= 3, where C is W's central (k-2)-window and pi(C) the product of u
-over C; u is |c| for an entry c*t^e with an int coefficient c, and 1
-for every other entry.  The -1 entries of an ASM sit strictly inside
-its window, so each term's coefficient becomes a product of powers
-c^(b+1) over C and c^b on the border, all exponents >= 0: P is integral
-whenever the entries' coefficients are.  Substituting P into the
-recurrence gives
-
-    P(W) * P(C) = alpha * P(NW) * P(SE) + l * beta * P(NE) * P(SW),
-
-where, for k >= 4, alpha is u at C's NE corner times u at its SW corner
-and beta is u at its NW corner times u at its SE corner (pi of the
-overlapping sub-windows cancels down to those corners), and for k = 3
-alpha = beta = u at the centre, counted once since the corners
-coincide.  Every step is the same exact division by a nonzero constant
-multiple of the old divisor, so exactness, ZeroMinor and InexactDivision
-occur exactly where they did unscaled.  _condense takes alpha and beta
-per window as an optional argument (the numeric runs pass none), and
-symbolic_pyramid divides each value back by its pi(C) at the end.
+An ASM's -1 entries put inverses of entries into a window's value, so a
+monomial entry c*t^e with |c| > 1 gives it 1/c coefficients.  The ring
+keeps every value as integral t-slices over one denominator (see
+laurent), so the symbolic engine runs the recurrence as written, and its
+divisions run over Z whatever the entries' coefficients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -87,17 +67,10 @@ class Pyramid:
 
 
 Divide = Callable[[object, object, int, int, int], object]
-# (k, i, j) -> (alpha, beta): the step of the k-window at 0-based (i, j)
-# computes alpha * nw * se + lam * beta * ne * sw.
-Pair = Callable[[int, int, int], tuple[Rational, Rational]]
 
 
 def _condense(
-    base: Sequence[Sequence[object]],
-    lam,
-    divide: Divide,
-    symmetric: bool,
-    pair: Pair | None = None,
+    base: Sequence[Sequence[object]], lam, divide: Divide, symmetric: bool
 ) -> Pyramid:
     n = len(base)
     layers: list[tuple[tuple[object, ...], ...]] = [
@@ -110,15 +83,9 @@ def _condense(
         grid: list[list[object]] = [[None] * span for _ in range(span)]
         for i in range(span):
             for j in range(i if symmetric else 0, span):
-                nw, ne = prev[i][j], prev[i][j + 1]
-                if pair is not None:
-                    alpha, beta = pair(k, i, j)
-                    # A 0/1 matrix has alpha = beta = 1 in every window.
-                    if alpha != 1:
-                        nw = alpha * nw
-                    if beta != 1:
-                        ne = beta * ne
-                numerator = nw * prev[i + 1][j + 1] + lam * ne * prev[i + 1][j]
+                numerator = (
+                    prev[i][j] * prev[i + 1][j + 1] + lam * prev[i][j + 1] * prev[i + 1][j]
+                )
                 if below is None:
                     value = numerator
                 else:
@@ -140,76 +107,9 @@ def _divide_symbolic(numerator, divisor, k: int, i: int, j: int):
     return numerator.exact_div(divisor)
 
 
-def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]]:
-    """u per entry: |c| for a monomial c*t^e with int c, else 1."""
-    weights = []
-    for row in matrix.rows:
-        line = []
-        for cell in row:
-            mono = cell.as_monomial()
-            line.append(abs(mono[0]) if mono and isinstance(mono[0], int) else 1)
-        weights.append(line)
-    return weights
-
-
-def _corner_pair(weights: list[list[int]]) -> Pair:
-    """alpha and beta of the scaled recurrence, from the central window's corners."""
-
-    def pair(k: int, i: int, j: int) -> tuple[int, int]:
-        if k == 2:
-            return 1, 1
-        if k == 3:
-            centre = weights[i + 1][j + 1]
-            return centre, centre
-        top, bottom, left, right = i + 1, i + k - 2, j + 1, j + k - 2
-        return (
-            weights[top][right] * weights[bottom][left],
-            weights[top][left] * weights[bottom][right],
-        )
-
-    return pair
-
-
-def _divide_by(value: LaurentPoly, scale: int) -> LaurentPoly:
-    """value / scale for a nonzero int scale."""
-    if scale == 1:
-        return value
-    # The constructor stores an integral Fraction as an int.
-    return LaurentPoly(
-        (Fraction(coeff, scale), l_exp, t_exp) for l_exp, t_exp, coeff in value.terms()
-    )
-
-
-def _unscale(value: LaurentPoly, weights: list[list[int]], k: int, i: int, j: int):
-    """value / pi(C) for the k-window at 0-based (i, j), C its central window."""
-    return _divide_by(
-        value,
-        math.prod(u for line in weights[i + 1 : i + k - 1] for u in line[j + 1 : j + k - 1]),
-    )
-
-
 def symbolic_pyramid(matrix: PolyMatrix) -> Pyramid:
-    """Full pyramid over the exact ring, with l as a variable.
-
-    Runs the integer-scaled recurrence of the module docstring, and
-    divides each value of layer 3 and up back by its central window's
-    product of coefficients.
-    """
-    symmetric = matrix.is_symmetric()
-    weights = _coefficient_weights(matrix)
-    scaled = _condense(
-        matrix.rows, LAM, _divide_symbolic, symmetric, _corner_pair(weights)
-    )
-    return Pyramid(
-        scaled.layers[:2]
-        + tuple(
-            tuple(
-                tuple(_unscale(value, weights, k, i, j) for j, value in enumerate(row))
-                for i, row in enumerate(layer)
-            )
-            for k, layer in enumerate(scaled.layers[2:], start=3)
-        )
-    )
+    """Full pyramid over the exact ring, with l as a variable."""
+    return _condense(matrix.rows, LAM, _divide_symbolic, matrix.is_symmetric())
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:

@@ -5,87 +5,95 @@ and Laurent polynomials in the perturbation variable t, with exact rational
 coefficients.  Negative l-exponents never occur; negative t-exponents are
 allowed and matter for the t -> 0 limit step.
 
-Representation: a value is stored the way the ring is built, as Laurent
-polynomials in t over Q[l].  A dict maps each t-exponent to its t-slice,
-a dict from l-exponent to coefficient:
+Representation: a value is an integral numerator over one positive int
+denominator.  The numerator is stored the way the ring is built, as
+Laurent polynomials in t over Z[l]: a dict maps each t-exponent to its
+t-slice, a dict from l-exponent to int coefficient:
 
-    {t_exp: {l_exp: coeff}}
+    {t_exp: {l_exp: coeff}} / den
 
-with no empty slice and no zero coefficient, so equal values hold equal
-dicts.  The smallest and largest t-exponents are the smallest and largest
-slice keys, and exact division reads the slices directly.  Exponents are
-Python ints, which never wrap, so no operation needs a range check: a
-product of t^5000000 and t^5000000 is t^10000000.  Coefficients are ints
-or fractions.Fraction.  Construction (the constructor, const, monomial,
-parse) and exact division store an integral coefficient as an int, and
-ints only ever combine into ints, which keeps the all-integer
-condensation runs fast.  Sums and products that involve a Fraction keep
-the type Python's arithmetic gives, so an integral coefficient can stay
-a Fraction there: const(Fraction(1, 2)) * 2 holds Fraction(1, 1).  Such
-a coefficient equals, hashes and prints like its int, so values compare
-and print the same either way.  Slices are never changed once a value
-holds them, so values may share them.
+with no empty slice and no zero coefficient.  The form is canonical: den
+shares no factor with every coefficient (the zero value has den 1), so
+equal values hold equal dicts and denominators.  The constructor, const,
+monomial and parse clear denominators with their lcm; a sum over unequal
+denominators uses their lcm, a product multiplies them, and any result
+whose den is not 1 is reduced by the gcd of den and its content.  A value
+with den 1 never meets that reduction, so integral runs cost what they
+did on plain ints.  terms(), coefficient(), as_monomial() and eval_at()
+divide den back in, so a coefficient reads as an int exactly when it is
+integral, as a Fraction otherwise.  The smallest and largest t-exponents
+are the smallest and largest slice keys.  Exponents are Python ints,
+which never wrap, so no operation needs a range check: a product of
+t^5000000 and t^5000000 is t^10000000.  Slices are never changed once a
+value holds them, so values may share them.
 
-Packed slices.  A t-slice of int coefficients, packed, is one Python int:
-its value at l = 2**B, sum of coeff * 2**(B * l_exp).  Packing is a ring
-map from Z[l], so a product of two slices is one bigint product, and a
-sum of such products is one bigint sum.  The result unpacks to its
-coefficients as signed base-2**B digits, a digit at or above 2**(B-1)
-being negative and borrowing one from the next, provided every
-coefficient lies strictly inside +-2**(B-1).  The width rule makes sure
-of that: an output coefficient of a * b sums at most m * s products of
-two input coefficients, where m is the smaller of the operands' longest
-slices (max l + 1) and s the smaller of their slice counts, so
+Packed slices.  A t-slice, packed, is one Python int: its value at
+l = 2**B, sum of coeff * 2**(B * l_exp).  Packing is a ring map from Z[l],
+so a product of two slices is one bigint product, and a sum of such
+products is one bigint sum.  The result unpacks to its coefficients as
+signed base-2**B digits, a digit at or above 2**(B-1) being negative and
+borrowing one from the next, provided every coefficient lies strictly
+inside +-2**(B-1).  The width rule makes sure of that: an output
+coefficient of a * b sums at most m * s products of two input
+coefficients, where m is the smaller of the operands' longest slices
+(max l + 1) and s the smaller of their slice counts, so
 
     B = bitlen(max|a| * max|b| * m * s) + 2.
 
-A product whose operands hold only ints, and more than DICT_MAX_TERMS
-terms each, packs every slice once, multiplies the slices pairwise, sums
-the products per output t-exponent and unpacks each output slice once.
-Any other product (a Fraction coefficient, or a small operand, where
-packing costs more than it saves) takes the dict loop over pairs of
-terms.  Both give the same values, with int coefficients from ints.
+Every slice holds ints, so a product whose operands hold more than
+DICT_MAX_TERMS terms each, rational or not, packs every slice once,
+multiplies the slices pairwise, sums the products per output t-exponent
+and unpacks each output slice once.  A smaller product, where packing
+costs more than it saves, takes the dict loop over pairs of terms.
 DICT_MAX_TERMS = 8 comes from timing both paths on every product of the
 benchmark's diamond and ASM workloads, grouped by the smaller operand's
 term count: the dict loop won up to 6 terms, whatever the number of
 slices, the two were even from 7 to 17, and packing won beyond.
 
-Exact division is long division in t over Q[l], one quotient slice at a
-time (see exact_div); with int operands, a primitive divisor and more
-than DICT_MAX_TERMS divisor terms, each slice's remainder is formed as
-one packed dot product.  The cut-off is the product's, counted on the
-divisor: timing both paths on every division of one diamond_limit batch
-(395), grouped by divisor term count, packing lost by 10-20% up to 8
-terms, the two were even from 9 to 20, and packing won beyond (0.033 ->
-0.021 s on the 41 divisions of 21-60 terms, 0.119 -> 0.048 s on the 15
-larger ones).  Division is bounded in t: a quotient of more than
-MAX_T_SPAN = 2**18 t-slices raises ExponentOverflow before the loop
-starts, the loop walks the quotient's slices densely and past them only
-the slices that occur, and at the bound (t^262144 + 1) / (t - 1) fails
-in about 1.3 s (2-CPU machine, CPython 3.11).  It is bounded in l only by the window
-of possible quotient l-exponents and, for int operands with a primitive
-divisor, by Gauss's lemma, which stops it at the first quotient
-coefficient that is not an integer: (t^32768 + 1) / (t - 2) fails at
-once.  Two cases still spin.  (l^N + 1) / (l + 2) has a unit lead, so it
-clears N quotient terms whose coefficients double each time (0.2 s at
-N = 20000, quadratic in N), and a divisor with Fraction coefficients, or
-an int one that is not primitive, gets no early exit from the lemma.
+Exact division is long division in t over Z[l], one quotient slice at a
+time (see exact_div), after the divisor's content (the gcd of its
+coefficients) is divided out.  The divisor is then primitive, so by
+Gauss's lemma an exact quotient of the numerators is integral, and the
+first quotient coefficient that is not an integer ends the division:
+(t^32768 + 1) / (2t - 4) fails at once.  With more than DICT_MAX_TERMS
+divisor terms, each slice's remainder is formed as one packed dot
+product.  The cut-off is the product's, counted on the divisor: timing
+both paths on every division of one diamond_limit batch (395), grouped
+by divisor term count, packing lost by 10-20% up to 8 terms, the two were
+even from 9 to 20, and packing won beyond (0.033 -> 0.021 s on the 41
+divisions of 21-60 terms, 0.119 -> 0.048 s on the 15 larger ones).
+
+What bounds division.  In t: a quotient of more than MAX_T_SPAN = 2**18
+t-slices raises ExponentOverflow before the loop starts, the loop walks
+the quotient's slices densely and past them only the slices that occur,
+and at the bound (t^262144 + 1) / (t - 1) fails in about 1.3 s (2-CPU
+machine, CPython 3.11).  In l: the window of possible quotient
+l-exponents, and Gauss's lemma, which stops a quotient whose coefficients
+leave Z.  A unit lead in l escapes the lemma: (l^N + 1) / (l + 2) would
+clear N integral quotient terms, doubling each time.  So when the window
+is wider than CHECK_WINDOW = 256 l-exponents, the integral quotient's
+value at (l0, 1) is checked first: the divisor's value there must divide
+the numerator's at l0 = 2, 3 and 4 (a point where the divisor vanishes
+is skipped), and (l^20000 + 1) / (l + 2) fails at l0 = 2 at once.  No
+window on the benchmark's diamond and reproduce traffic is wider than 66,
+so the check costs them nothing.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, ExponentOverflow, InexactDivision, PoleAtZero
 
 MAX_T_SPAN = 1 << 18
 DICT_MAX_TERMS = 8
+CHECK_WINDOW = 256
 
 Rational = int | Fraction
-Slices = dict[int, dict[int, Rational]]
+Slices = dict[int, dict[int, int]]
 
 def _valid_l_exp(l_exp: int) -> int:
     if l_exp < 0:
@@ -101,33 +109,50 @@ def _as_coeff(value: Rational) -> Rational:
     raise TypeError("coefficient must be int or Fraction, got %r" % (value,))
 
 
+def _ratio(coeff: int, den: int) -> Rational:
+    """coeff / den, an int when it is integral."""
+    return coeff if den == 1 else _as_coeff(Fraction(coeff, den))
+
+
 def _term_count(slices: Slices) -> int:
     return sum(map(len, slices.values()))
 
 
-def _int_shape(slices: Slices) -> tuple[int, int] | None:
-    """(largest |coeff|, longest slice as max l + 1), or None if a
-    coefficient is not an int."""
+def _content(slices: Slices, start: int = 0) -> int:
+    """gcd of start and every coefficient, stopping once it reaches 1."""
+    for row in slices.values():
+        start = gcd(start, *row.values())
+        if start == 1:
+            break
+    return start
+
+
+def _scaled(slices: Slices, factor: int) -> Slices:
+    if factor == 1:
+        return slices
+    return {t: {l: c * factor for l, c in row.items()} for t, row in slices.items()}
+
+
+def _divided(slices: Slices, divisor: int) -> Slices:
+    """slices with every coefficient divided by divisor, which divides them all."""
+    return {t: {l: c // divisor for l, c in row.items()} for t, row in slices.items()}
+
+
+def _value_at(slices: Slices, l_value: int, modulus: int | None = None) -> int:
+    """The value at (l_value, t = 1), reduced mod modulus if one is given."""
+    total = sum(
+        c * pow(l_value, l, modulus) for row in slices.values() for l, c in row.items()
+    )
+    return total % modulus if modulus else total
+
+
+def _int_shape(slices: Slices) -> tuple[int, int]:
+    """(largest |coeff|, longest slice as max l + 1)."""
     top = length = 0
     for row in slices.values():
-        values = row.values()
-        if not all(map(int.__instancecheck__, values)):
-            return None
-        top = max(top, max(map(abs, values)))
+        top = max(top, max(map(abs, row.values())))
         length = max(length, max(row))
     return top, length + 1
-
-
-def _primitive_shapes(
-    num: Slices, den: Slices
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """The _int_shape of num and of den, or None unless both are all-int
-    and den is primitive (the gcd of its coefficients is 1)."""
-    num_shape = _int_shape(num)
-    den_shape = _int_shape(den) if num_shape else None
-    if den_shape and gcd(*(gcd(*row.values()) for row in den.values())) == 1:
-        return num_shape, den_shape
-    return None
 
 
 def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
@@ -182,10 +207,10 @@ def _packed_product(
 class LaurentPoly:
     """Immutable sparse polynomial in Q[l][t, 1/t]."""
 
-    __slots__ = ("_slices", "_hash")
+    __slots__ = ("_slices", "_den", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Rational, int, int]] = ()):
-        data: Slices = {}
+        data: dict[int, dict[int, Rational]] = {}
         for coeff, l_exp, t_exp in terms:
             coeff = _as_coeff(coeff)
             l_exp = _valid_l_exp(l_exp)
@@ -195,25 +220,46 @@ class LaurentPoly:
                 row[l_exp] = acc
             else:
                 row.pop(l_exp, None)
-        self._slices = {t_exp: row for t_exp, row in data.items() if row}
+        # No prime divides both the lcm of the reduced denominators and
+        # every numerator it yields, so the result is already canonical.
+        den = lcm(*(c.denominator for row in data.values() for c in row.values()))
+        self._slices = {
+            t_exp: {l_exp: c.numerator * (den // c.denominator) for l_exp, c in row.items()}
+            for t_exp, row in data.items()
+            if row
+        }
+        self._den = den
         self._hash: int | None = None
 
     @classmethod
-    def _wrap(cls, slices: Slices) -> "LaurentPoly":
+    def _wrap(cls, slices: Slices, den: int = 1) -> "LaurentPoly":
+        """The value slices / den, which must already be canonical."""
         poly = cls.__new__(cls)
         poly._slices = slices
+        poly._den = den
         poly._hash = None
         return poly
 
     @classmethod
+    def _reduced(cls, slices: Slices, den: int) -> "LaurentPoly":
+        """The value slices / den in canonical form."""
+        common = _content(slices, den)
+        if common != 1:
+            slices, den = _divided(slices, common), den // common
+        return cls._wrap(slices, den)
+
+    @classmethod
     def const(cls, value: Rational) -> "LaurentPoly":
         value = _as_coeff(value)
-        return cls._wrap({0: {0: value}} if value else {})
+        return cls._wrap({0: {0: value.numerator}} if value else {}, value.denominator)
 
     @classmethod
     def monomial(cls, coeff: Rational, l_exp: int = 0, t_exp: int = 0) -> "LaurentPoly":
         coeff = _as_coeff(coeff)
-        return cls._wrap({t_exp: {_valid_l_exp(l_exp): coeff}} if coeff else {})
+        return cls._wrap(
+            {t_exp: {_valid_l_exp(l_exp): coeff.numerator}} if coeff else {},
+            coeff.denominator,
+        )
 
     # -- inspection ------------------------------------------------------
 
@@ -222,7 +268,7 @@ class LaurentPoly:
         for t_exp in sorted(self._slices):
             row = self._slices[t_exp]
             for l_exp in sorted(row):
-                yield l_exp, t_exp, row[l_exp]
+                yield l_exp, t_exp, _ratio(row[l_exp], self._den)
 
     @property
     def term_count(self) -> int:
@@ -247,11 +293,12 @@ class LaurentPoly:
             ((t_exp, row),) = self._slices.items()
             if len(row) == 1:
                 ((l_exp, coeff),) = row.items()
-                return coeff, l_exp, t_exp
+                return _ratio(coeff, self._den), l_exp, t_exp
         return None
 
     def coefficient(self, l_exp: int, t_exp: int) -> Rational:
-        return self._slices.get(t_exp, {}).get(_valid_l_exp(l_exp), 0)
+        coeff = self._slices.get(t_exp, {}).get(_valid_l_exp(l_exp), 0)
+        return _ratio(coeff, self._den)
 
     # -- ring operations -------------------------------------------------
 
@@ -266,7 +313,11 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        big, small = self._slices, rhs._slices
+        big, small, den = self._slices, rhs._slices, self._den
+        if den != rhs._den:
+            den = lcm(den, rhs._den)
+            big = _scaled(big, den // self._den)
+            small = _scaled(small, den // rhs._den)
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
@@ -286,13 +337,14 @@ class LaurentPoly:
                 out[t_exp] = target
             else:
                 del out[t_exp]
-        return LaurentPoly._wrap(out)
+        return LaurentPoly._wrap(out) if den == 1 else LaurentPoly._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._wrap(
-            {t: {l: -c for l, c in row.items()} for t, row in self._slices.items()}
+            {t: {l: -c for l, c in row.items()} for t, row in self._slices.items()},
+            self._den,
         )
 
     def __sub__(self, other) -> "LaurentPoly":
@@ -314,30 +366,29 @@ class LaurentPoly:
         a, b = self._slices, rhs._slices
         if not a or not b:
             return ZERO
+        den = self._den * rhs._den
         if min(_term_count(a), _term_count(b)) > DICT_MAX_TERMS:
-            shape_a = _int_shape(a)
-            shape_b = _int_shape(b) if shape_a else None
-            if shape_b:
-                return LaurentPoly._wrap(_packed_product(a, b, shape_a, shape_b))
-        out: Slices = {}
-        for tb, row_b in b.items():
-            for ta, row_a in a.items():
-                target = out.get(ta + tb)
-                if target is None:
-                    target = out[ta + tb] = {}
-                get = target.get
-                for lb, cb in row_b.items():
-                    for la, ca in row_a.items():
-                        key = la + lb
-                        target[key] = get(key, 0) + ca * cb
-        # Only slices where terms cancelled are rebuilt.
-        for t_exp in [t for t, row in out.items() if not all(row.values())]:
-            row = {l_exp: c for l_exp, c in out[t_exp].items() if c}
-            if row:
-                out[t_exp] = row
-            else:
-                del out[t_exp]
-        return LaurentPoly._wrap(out)
+            out = _packed_product(a, b, _int_shape(a), _int_shape(b))
+        else:
+            out = {}
+            for tb, row_b in b.items():
+                for ta, row_a in a.items():
+                    target = out.get(ta + tb)
+                    if target is None:
+                        target = out[ta + tb] = {}
+                    get = target.get
+                    for lb, cb in row_b.items():
+                        for la, ca in row_a.items():
+                            key = la + lb
+                            target[key] = get(key, 0) + ca * cb
+            # Only slices where terms cancelled are rebuilt.
+            for t_exp in [t for t, row in out.items() if not all(row.values())]:
+                row = {l_exp: c for l_exp, c in out[t_exp].items() if c}
+                if row:
+                    out[t_exp] = row
+                else:
+                    del out[t_exp]
+        return LaurentPoly._wrap(out) if den == 1 else LaurentPoly._reduced(out, den)
 
     __rmul__ = __mul__
 
@@ -357,13 +408,12 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._slices == rhs._slices
+        return self._den == rhs._den and self._slices == rhs._slices
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                frozenset((t, frozenset(row.items())) for t, row in self._slices.items())
-            )
+            key = frozenset((t, frozenset(row.items())) for t, row in self._slices.items())
+            self._hash = hash(key) if self._den == 1 else hash((key, self._den))
         return self._hash
 
     # -- division --------------------------------------------------------
@@ -371,34 +421,35 @@ class LaurentPoly:
     def exact_div(self, other) -> "LaurentPoly":
         """Exact quotient self / other; InexactDivision if it does not divide.
 
-        Long division in t over Q[l].  Counted from each operand's lowest
-        t-power, quotient slice q_t solves q_t * d_0 = r_t, where d_0 is the
-        divisor's lowest slice and r_t = n_t - sum_{s>=1} q_{t-s} * d_s.
-        Each r_t is divided in l by d_0 from its highest term down.  Q[l]
-        has no zero divisors, so t-spans add under multiplication: an exact
-        quotient spans exactly t_span slices, every r_t past them must be
-        zero, and so must every l-remainder.  The loop walks t = 0 ..
-        t_span - 1 densely, and past t_span only the t where some n_t or
-        some q_{t-s} * d_s occurs, so a t_span above MAX_T_SPAN, refused
-        with ExponentOverflow before any work, is the only bound in t it
-        needs: (t^N + 1) / (t^N + 1) takes one step and two checks for any
-        N.  The quotient's l-exponents lie in [ord_l(num) - ord_l(den),
-        deg_l(num) - deg_l(den)], again as Q[l] has no zero divisors: an
-        empty window, or a quotient term outside it, raises InexactDivision.
+        The numerators divide over Z[l][t, 1/t] once the divisor's content
+        c is divided out, and the quotient is (n / (d / c)) * den(other) /
+        (c * den(self)), reduced.  Long division in t over Z[l]: counted
+        from each operand's lowest t-power, quotient slice q_t solves
+        q_t * d_0 = r_t, where d_0 is the divisor's lowest slice and
+        r_t = n_t - sum_{s>=1} q_{t-s} * d_s.  Each r_t is divided in l by
+        d_0 from its highest term down.  Z[l] has no zero divisors, so
+        t-spans add under multiplication: an exact quotient spans exactly
+        t_span slices, every r_t past them must be zero, and so must every
+        l-remainder.  The loop walks t = 0 .. t_span - 1 densely, and past
+        t_span only the t where some n_t or some q_{t-s} * d_s occurs, so a
+        t_span above MAX_T_SPAN, refused with ExponentOverflow before any
+        work, is the only bound in t it needs: (t^N + 1) / (t^N + 1) takes
+        one step and two checks for any N.  The quotient's l-exponents lie
+        in [ord_l(num) - ord_l(den), deg_l(num) - deg_l(den)], again as
+        Z[l] has no zero divisors: an empty window, or a quotient term
+        outside it, raises InexactDivision, and so does a window wider than
+        CHECK_WINDOW whose values at (l0, 1) do not divide (module
+        docstring).  The divisor is primitive, so Gauss's lemma makes an
+        exact quotient integral, and the first quotient coefficient that is
+        not an integer raises InexactDivision.
 
-        When every coefficient is an int and the divisor is primitive (its
-        coefficients have gcd 1), Gauss's lemma makes an exact quotient
-        integral, so the first quotient coefficient that is not an integer
-        raises InexactDivision.  A divisor of more than DICT_MAX_TERMS terms
-        then forms each r_t as one packed dot product (module docstring),
-        unpacked once: r_t's coefficients are bounded by
-        |n| + |q| * |d| * m * s (largest coefficients so far, m the shorter
-        of the longest q- and d-slices, s the number of products), and the
-        width B from that bound only grows, so packed slices are reused
-        until it does.  All other operands form r_t on dense lists: the dict
-        path.  What still spins: (l^N + 1) / (l + 2) clears N quotient terms
-        whose coefficients double each time (about 0.2 s at N = 20000), and
-        a Fraction or non-primitive divisor gets no early exit from the lemma.
+        A divisor of more than DICT_MAX_TERMS terms forms each r_t as one
+        packed dot product (module docstring), unpacked once: r_t's
+        coefficients are bounded by |n| + |q| * |d| * m * s (largest
+        coefficients so far, m the shorter of the longest q- and d-slices,
+        s the number of products), and the width B from that bound only
+        grows, so packed slices are reused until it does.  A smaller
+        divisor forms r_t on dense lists: the dict path.
         """
         rhs = self._coerce(other)
         if rhs is None:
@@ -421,23 +472,33 @@ class LaurentPoly:
             raise InexactDivision(
                 "the quotient's l-exponents would lie in [%d, %d]" % (l_low, l_high)
             )
+        content = _content(den)
+        if content != 1:
+            den = _divided(den, content)
+        if l_high - l_low >= CHECK_WINDOW:
+            for l0 in (2, 3, 4):
+                at = _value_at(den, l0)
+                if at and _value_at(num, l0, abs(at)):
+                    raise InexactDivision(
+                        "at l = %d, t = 1 the divisor's value does not divide "
+                        "the numerator's" % l0
+                    )
         low_row = sorted(den[den_low].items())
         degree, lead = low_row[-1]
         # The divisor's higher slices: t-offset, sorted (l_exp, coeff) pairs.
         den_rows = [
             (t - den_low, sorted(row.items())) for t, row in den.items() if t != den_low
         ]
-        shapes = _primitive_shapes(num, den)
-        integral = shapes is not None
-        packed_path = integral and _term_count(den) > DICT_MAX_TERMS
+        packed_path = _term_count(den) > DICT_MAX_TERMS
         if packed_path:
-            (num_top, _), (den_top, den_len) = shapes
+            num_top, _ = _int_shape(num)
+            den_top, den_len = _int_shape(den)
         quotient: Slices = {}
         q_top = q_len = width = 0
         q_packs: dict[int, int] = {}
         d_packs: dict[int, int] = {}
         # t -> the (t - s, s, d_s) whose product q_{t-s} * d_s r_t subtracts.
-        pending: dict[int, list[tuple[int, int, list[tuple[int, Rational]]]]] = {}
+        pending: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
 
         def steps() -> Iterator[int]:
             yield from range(t_span)
@@ -490,15 +551,11 @@ class LaurentPoly:
                         raise InexactDivision(
                             "quotient term l^%d lies outside [%d, %d]" % (q_l, l_low, l_high)
                         )
-                    if isinstance(top, int) and isinstance(lead, int) and top % lead == 0:
-                        coeff: Rational = top // lead
-                    else:
-                        if integral:
-                            raise InexactDivision(
-                                "quotient coefficient %s/%s is not an integer" % (top, lead)
-                            )
-                        coeff = _as_coeff(Fraction(top) / Fraction(lead))
-                    q_row[q_l] = coeff
+                    if top % lead:
+                        raise InexactDivision(
+                            "quotient coefficient %s/%s is not an integer" % (top, lead)
+                        )
+                    coeff = q_row[q_l] = top // lead
                     for i, d_coeff in low_row:
                         remainder[q_l + i] -= coeff * d_coeff
                 remainder = remainder[:degree]
@@ -512,7 +569,9 @@ class LaurentPoly:
                     q_top = max(q_top, max(map(abs, q_row.values())))
                     q_len = max(q_len, max(q_row) + 1)
         shift = num_low - den_low
-        return LaurentPoly._wrap({t + shift: row for t, row in quotient.items()})
+        out = _scaled({t + shift: row for t, row in quotient.items()}, rhs._den)
+        out_den = content * self._den
+        return LaurentPoly._wrap(out) if out_den == 1 else LaurentPoly._reduced(out, out_den)
 
     def __truediv__(self, other) -> "LaurentPoly":
         return self.exact_div(other)
@@ -537,7 +596,9 @@ class LaurentPoly:
                 if lp is None:
                     lp = l_pows[l_exp] = l_value**l_exp
                 total = total + coeff * lp * tp
-        return _as_coeff(Fraction(total)) if isinstance(total, Fraction) else total
+        if self._den == 1 and isinstance(total, int):
+            return total
+        return _as_coeff(Fraction(total) / self._den)
 
     def limit_t0(self) -> "LaurentPoly":
         """Limit t -> 0: keep t^0 terms, drop positive ones, flag poles."""
@@ -545,7 +606,7 @@ class LaurentPoly:
         if low < 0:
             raise PoleAtZero("term with t-exponent %d has no t->0 limit" % low)
         row = self._slices.get(0)
-        return LaurentPoly._wrap({0: row} if row else {})
+        return LaurentPoly._reduced({0: row} if row else {}, self._den)
 
     # -- text form -------------------------------------------------------
 

@@ -251,8 +251,9 @@ def mixed_monomial_matrix(n: int, rng: Random, symmetric: bool = False) -> PolyM
 
 
 class TestIntegerScaledCondensation:
-    """Non-unit int coefficients send symbolic_pyramid through the
-    integer-scaled recurrence; its values must be the unscaled ones."""
+    """Monomial entries with coefficients other than +-1 put 1/c into the
+    window values; symbolic_pyramid must still give the summation
+    formula's values, with integral coefficients stored as ints."""
 
     def test_every_window_equals_the_summation_formula(self):
         rng = Random(707)
@@ -293,7 +294,6 @@ class TestIntegerScaledCondensation:
         top = symbolic_pyramid(matrix).top
         monkeypatch.undo()
         assert len(quotients) == 4**2 + 3**2 + 2**2 + 1
-        assert all(isinstance(c, int) for q in quotients for _l, _t, c in q.terms())
         assert any(isinstance(c, Fraction) for _l, _t, c in top.terms())
         assert top == lambda_det_sum(matrix)
 

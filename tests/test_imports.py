@@ -1,6 +1,7 @@
-"""Every name a module imports is used in it (no linter is configured), and
+"""Every name a module imports is used in it (no linter is configured),
 only laurent.py reads LaurentPoly's private attributes, so the layout of a
-value can change in that one module."""
+value can change in that one module, and no package module imports
+another's private (underscore) names."""
 
 from __future__ import annotations
 
@@ -10,9 +11,10 @@ from pathlib import Path
 from lambdadet.laurent import LaurentPoly
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/lambdadet", "scripts", "tests")
+PACKAGE = "src/lambdadet"
+SCANNED = (PACKAGE, "scripts", "tests")
 LAURENT = ROOT / "src/lambdadet/laurent.py"
-PRIVATE = frozenset(LaurentPoly.__slots__) | {"_wrap"}
+PRIVATE = frozenset(LaurentPoly.__slots__) | {"_wrap", "_reduced"}
 
 
 def scanned_files() -> list[Path]:
@@ -42,6 +44,18 @@ def private_reads(source: str) -> list[str]:
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr in PRIVATE
         }
+    )
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that the module imports from a lambdadet module."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "lambdadet")
+        for alias in node.names
+        if alias.name.startswith("_")
     )
 
 
@@ -76,5 +90,25 @@ def test_only_laurent_reads_the_representation():
         for path in scanned_files()
         if path != LAURENT
         for name in private_reads(path.read_text())
+    ]
+    assert found == []
+
+
+def test_scanner_flags_private_package_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._util import helper\n"
+        "from .condensation import _divide_by, lambda_det\n"
+        "from lambdadet.asm import _fold\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == ["_divide_by", "_fold"]
+
+
+def test_no_module_imports_private_package_names():
+    found = [
+        "%s: %s" % (path.relative_to(ROOT), name)
+        for path in sorted((ROOT / PACKAGE).glob("*.py"))
+        for name in private_imports(path.read_text())
     ]
     assert found == []

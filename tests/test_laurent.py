@@ -77,6 +77,22 @@ def all_int(value: LaurentPoly) -> bool:
     return all(type(coeff) is int for _, _, coeff in value.terms())
 
 
+# Right-hand operands: values, and bare ints and Fractions.
+operands = st.one_of(polys, coefficients)
+
+
+def assert_canonical(value: LaurentPoly) -> None:
+    """Coefficients read as ints exactly when integral, and the constructor
+    and parse rebuild the value with an equal hash."""
+    for _, _, coeff in value.terms():
+        assert type(coeff) is int or coeff.denominator != 1
+    for rebuilt in (
+        LaurentPoly((c, l, t) for l, t, c in value.terms()),
+        LaurentPoly.parse(value.to_text()),
+    ):
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
 lambda_values = st.one_of(
     st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -116,6 +132,31 @@ class TestRingAxioms:
         assert hash(a + b) == hash(b + a)
 
 
+class TestCanonicalForm:
+    @given(polys, operands, operands)
+    def test_ring_operations_give_canonical_values(self, a, b, c):
+        results = [a + b, a - b, b - a, a * b, b * a, a * b + c, (a - c) * (b + c)]
+        if b:
+            results.append((a * b).exact_div(b))
+        results += [r.limit_t0() for r in results if r.min_t_exp() >= 0]
+        for value in results:
+            assert_canonical(value)
+
+    def test_integral_results_of_rational_operands_hold_ints(self):
+        half = Fraction(1, 2)
+        half_lam = LaurentPoly.monomial(half, 1)
+        for value, expected in (
+            (half_lam * 2, LAM),
+            (half_lam + half_lam, LAM),
+            ((half * (2 + T_VAR)).limit_t0(), ONE),
+            ((LAM + 2).exact_div(half_lam + 1), LaurentPoly.const(2)),
+            ((half_lam + 1).exact_div(half_lam + 1), ONE),
+        ):
+            assert value == expected and hash(value) == hash(expected)
+            assert all_int(value)
+        assert (half_lam + 1).exact_div(LAM + 2) == LaurentPoly.const(half)
+
+
 class TestDivision:
     @given(polys, nonzero_polys)
     def test_product_division_round_trip(self, a, b):
@@ -147,12 +188,26 @@ class TestDivision:
         assert quotient == sum((T_VAR**k for k in range(400)), ZERO)
 
     def test_inexact_division_by_a_non_unit_lead_is_refused_quickly(self):
-        # (t - 2) is primitive, so by Gauss's lemma the quotient's first
-        # coefficient, 1/(-2), already proves the division inexact.
-        start = time.perf_counter()
-        with pytest.raises(InexactDivision):
-            (T_VAR ** 2**15 + 1).exact_div(T_VAR - 2)
-        assert time.perf_counter() - start < 0.1
+        # Each divisor is (t - 2) times a constant, and (t - 2) is primitive,
+        # so by Gauss's lemma the quotient's first coefficient, 1/(-2),
+        # already proves the division inexact.
+        for divisor in (T_VAR - 2, 2 * T_VAR - 4, Fraction(1, 2) * T_VAR - 1):
+            start = time.perf_counter()
+            with pytest.raises(InexactDivision):
+                (T_VAR ** 2**15 + 1).exact_div(divisor)
+            assert time.perf_counter() - start < 0.1
+
+    def test_inexact_division_by_a_unit_lead_is_refused_quickly(self):
+        # Long division would find 20000 integral quotient coefficients
+        # before failing; the values at l = 2 (l = 4 for l - 2), t = 1
+        # show at once that no quotient exists.
+        for divisor in (LAM + 2, LAM - 2):
+            start = time.perf_counter()
+            with pytest.raises(InexactDivision):
+                (LAM**20000 + 1).exact_div(divisor)
+            assert time.perf_counter() - start < 0.1
+        quotient = (LAM**300 - 2**300).exact_div(LAM - 2)
+        assert quotient == sum((2 ** (299 - k) * LAM**k for k in range(300)), ZERO)
 
     def test_inexact_division_with_an_empty_l_window_is_refused_quickly(self):
         # deg_l(num) - deg_l(den) = -2 < 0 = ord_l(num) - ord_l(den).
@@ -398,8 +453,8 @@ class TestTextForm:
         assert LaurentPoly.parse("-3/2*l^2*t^-1") == poly
 
     def test_integral_fraction_coefficient_acts_as_its_int(self):
-        # A product may store Fraction(1, 1); it must compare, hash and
-        # print exactly like the int 1.
+        # An integral product of Fractions reduces to denominator 1: it
+        # must compare, hash and print exactly like the int 1.
         value = LaurentPoly.const(Fraction(1, 2)) * 2
         assert value == 1
         assert value == ONE and hash(value) == hash(ONE)

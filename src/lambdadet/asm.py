@@ -260,34 +260,27 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
     sum is divided by the product of all u at the end.
     """
     units = _coefficient_weights(matrix)
-    products: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
-    powers: dict[tuple[int, int], LaurentPoly] = {}
-    weights: dict[tuple[int, tuple[int, ...], int, int], LaurentPoly] = {}
 
+    @cache
+    def product(r: int, row: tuple[int, ...]) -> LaurentPoly:
+        value = ONE
+        scale = 1
+        for j, b in enumerate(row):
+            if b == -1:
+                value = value * _scaled_inverse(matrix.rows[r][j], units[r][j])
+            else:
+                scale *= units[r][j]
+                if b == 1:
+                    value = value * matrix.rows[r][j]
+        return value * scale if scale != 1 else value
+
+    @cache
+    def power(exponent: int, neg: int) -> LaurentPoly:
+        return LAM**exponent * ONE_PLUS_LAM**neg
+
+    @cache
     def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
-        key = (r, row, inv, neg)
-        cached = weights.get(key)
-        if cached is not None:
-            return cached
-        product = products.get((r, row))
-        if product is None:
-            product = ONE
-            scale = 1
-            for j, b in enumerate(row):
-                if b == -1:
-                    product = product * _scaled_inverse(matrix.rows[r][j], units[r][j])
-                else:
-                    scale *= units[r][j]
-                    if b == 1:
-                        product = product * matrix.rows[r][j]
-            if scale != 1:
-                product = product * scale
-            products[(r, row)] = product
-        power = powers.get((inv - neg, neg))
-        if power is None:
-            power = powers[(inv - neg, neg)] = LAM ** (inv - neg) * ONE_PLUS_LAM**neg
-        value = weights[key] = power * product
-        return value
+        return power(inv - neg, neg) * product(r, row)
 
     total = _fold(matrix.size, ONE, weight)
     return total * Fraction(1, math.prod(u for line in units for u in line))

@@ -655,7 +655,7 @@ def _parse_term(chunk: str) -> tuple[Rational, int, int]:
     match = _TERM_RE.match(chunk.replace(" ", ""))
     if match is None:
         raise ValueError("malformed term %r" % chunk)
-    coeff = Fraction(match.group(1))
+    coeff = _fraction(match.group(1))
     l_exp = t_exp = 0
     for var, exp in _FACTOR_RE.findall(match.group(2)):
         if var == "l":
@@ -674,9 +674,17 @@ T_VAR = LaurentPoly._wrap({1: {0: 1}})
 ONE_PLUS_LAM = LaurentPoly._wrap({0: {0: 1, 1: 1}})
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a zero denominator as malformed text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def parse_rational(text: str) -> Rational:
     """Parse '3', '-2', or '3/2' into an exact rational."""
-    return _as_coeff(Fraction(str(text).strip()))
+    return _as_coeff(_fraction(str(text).strip()))
 
 
 def coerce_entry(value) -> LaurentPoly:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeMismatch
-from .laurent import LaurentPoly, Rational, T_VAR, coerce_entry
+from .laurent import ONE, ZERO, LaurentPoly, Rational, T_VAR, coerce_entry
+from .tilings import diamond_cells
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,10 @@ class PolyMatrix:
     @classmethod
     def from_json(cls, text: str) -> "PolyMatrix":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SizeMismatch(
+                "matrix JSON must be an object, got %s" % type(doc).__name__
+            )
         entries = doc.get("entries")
         if not isinstance(entries, list):
             raise SizeMismatch("matrix JSON needs an 'entries' list")
@@ -121,44 +126,33 @@ def ones_matrix(n: int) -> PolyMatrix:
 
 
 def diamond_even(n: int) -> PolyMatrix:
-    """2n-by-2n 0/1 matrix: entry (i, j) is 1 iff |2i-2n-1| + |2j-2n-1| <= 2n.
+    """2n-by-2n 0/1 matrix with 1's on diamond_cells(2n).
 
     The 1-entries form an Aztec-diamond shaped plus region; the four
     corners hold staircase blocks of zeros, n(n-1)/2 in each corner.
     """
     if n < 1:
         raise SizeMismatch("diamond order must be positive")
-    size = 2 * n
-    return PolyMatrix.from_rows(
-        [
-            [
-                1 if abs(2 * i - 2 * n - 1) + abs(2 * j - 2 * n - 1) <= 2 * n else 0
-                for j in range(1, size + 1)
-            ]
-            for i in range(1, size + 1)
-        ]
-    )
+    return diamond_pattern(2 * n)
 
 
 def diamond_odd(n: int) -> PolyMatrix:
-    """(2n+1)-by-(2n+1) 0/1 matrix: entry (i, j) is 1 iff |i-n-1| + |j-n-1| <= n."""
+    """(2n+1)-by-(2n+1) 0/1 matrix with 1's on diamond_cells(2n+1)."""
     if n < 0:
         raise SizeMismatch("diamond order must be non-negative")
-    size = 2 * n + 1
-    return PolyMatrix.from_rows(
-        [
-            [1 if abs(i - n - 1) + abs(j - n - 1) <= n else 0 for j in range(1, size + 1)]
-            for i in range(1, size + 1)
-        ]
-    )
+    return diamond_pattern(2 * n + 1)
 
 
 def diamond_pattern(size: int) -> PolyMatrix:
-    """The size-by-size diamond matrix: diamond_even for even sizes,
-    diamond_odd for odd ones."""
-    if size % 2 == 0:
-        return diamond_even(size // 2)
-    return diamond_odd((size - 1) // 2)
+    """The size-by-size 0/1 matrix with 1's on diamond_cells(size):
+    diamond_even for even sizes, diamond_odd for odd ones."""
+    if size < 1:
+        raise SizeMismatch("diamond size must be positive")
+    cells = diamond_cells(size)
+    span = range(1, size + 1)
+    return PolyMatrix(
+        tuple(tuple(ONE if (i, j) in cells else ZERO for j in span) for i in span)
+    )
 
 
 def random_monomial_matrix(n: int, rng) -> PolyMatrix:

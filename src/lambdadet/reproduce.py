@@ -37,7 +37,7 @@ from .condensation import (
     numeric_pyramid,
     symbolic_pyramid,
 )
-from .errors import IndeterminateForm
+from .errors import IndeterminateForm, SizeMismatch
 from .laurent import ONE_PLUS_LAM, LaurentPoly
 from .matrices import (
     center_perturbed,
@@ -363,11 +363,22 @@ def run_all(
     numbers: Iterable[int] | None = None,
     writer: Callable[[str], None] | None = None,
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default), reporting one line each."""
+    """Run the selected checks (all by default), reporting one line each.
+
+    A number outside 1..14, or one named twice, raises SizeMismatch
+    before any check runs.
+    """
+    numbers = range(1, len(CHECKS) + 1) if numbers is None else list(numbers)
+    for number in numbers:
+        if not 1 <= number <= len(CHECKS):
+            raise SizeMismatch(
+                "unknown check %d, a check number must be in 1..%d"
+                % (number, len(CHECKS))
+            )
+        if numbers.count(number) > 1:
+            raise SizeMismatch("the check list names check %d more than once" % number)
     session = session or ReproductionSession()
     results = []
-    if numbers is None:
-        numbers = range(1, len(CHECKS) + 1)
     for number in numbers:
         result = run_check(number, session)
         results.append(result)

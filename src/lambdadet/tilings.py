@@ -9,7 +9,8 @@ product of its edge weights (tiling counts are the all-ones case).
 Two evaluators are provided on purpose.  matching_sum sweeps the region
 cell by cell with a bitmask profile of covered cells along the frontier.
 Its work is states x in-region cells, on int states (rational weights
-are cleared of denominators first), and it is fine up to width 24.
+are cleared of denominators first), and it is fine while the shorter
+side of the region is at most 24 cells.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the
 sweep.  The Aztec-diamond families, their four-fold overlapping
@@ -53,15 +54,26 @@ def square_region(n: int) -> Region:
     return rectangle_region(n, n)
 
 
-def aztec_region(n: int) -> Region:
-    """Cells (r, c) in [1, 2n]^2 with |2r-2n-1| + |2c-2n-1| <= 2n: the
-    Aztec diamond of order n, 2n(n+1) cells.  Order 0 is empty."""
+def diamond_cells(size: int) -> Region:
+    """Cells (r, c) in [1, size]^2 with |2r-size-1| + |2c-size-1| <= 2 (size // 2).
+
+    The paper's central diamond: for size 2n it is |2r-2n-1| + |2c-2n-1|
+    <= 2n, the Aztec diamond of order n; for size 2n+1 it is
+    |r-n-1| + |c-n-1| <= n.  Empty for size < 1.
+    """
+    bound = 2 * (size // 2)
     return frozenset(
         (r, c)
-        for r in range(1, 2 * n + 1)
-        for c in range(1, 2 * n + 1)
-        if abs(2 * r - 2 * n - 1) + abs(2 * c - 2 * n - 1) <= 2 * n
+        for r in range(1, size + 1)
+        for c in range(1, size + 1)
+        if abs(2 * r - size - 1) + abs(2 * c - size - 1) <= bound
     )
+
+
+def aztec_region(n: int) -> Region:
+    """The Aztec diamond of order n, diamond_cells(2n): 2n(n+1) cells.
+    Order 0, and any negative order, is empty."""
+    return diamond_cells(2 * n)
 
 
 def aztec_count_formula(n: int) -> int:
@@ -91,9 +103,9 @@ def matching_sum(
 ) -> Rational:
     """Sum of matching weights by a frontier sweep.
 
-    The bounding box must be at most MAX_PROFILE_WIDTH columns wide
-    (WidthExceeded otherwise); a region taller than wide is swept
-    transposed, which leaves the answer unchanged.  Every perfect
+    A region wider than tall is swept transposed, which leaves the
+    answer unchanged, so the shorter side of the bounding box must be at
+    most MAX_PROFILE_WIDTH (WidthExceeded otherwise).  Every perfect
     matching has len(cells) // 2 edges, so the weights are first scaled
     by D, the lcm of their denominators: the sweep then carries ints
     only, and the sum is sweep(D * w) / D ** (len(cells) // 2).  Edges
@@ -104,12 +116,12 @@ def matching_sum(
     rows = sorted({r for r, _ in cells})
     columns = sorted({c for _, c in cells})
     width = columns[-1] - columns[0] + 1
-    if width > MAX_PROFILE_WIDTH:
-        raise WidthExceeded(
-            "region bounding box is %d columns wide; the sweep handles at "
-            "most %d (transpose the region first)" % (width, MAX_PROFILE_WIDTH)
-        )
     height = rows[-1] - rows[0] + 1
+    if min(width, height) > MAX_PROFILE_WIDTH:
+        raise WidthExceeded(
+            "region bounding box is %d by %d; the sweep handles at most %d "
+            "along its shorter side" % (height, width, MAX_PROFILE_WIDTH)
+        )
     r0, c0 = rows[0], columns[0]
     local = {(r - r0, c - c0) for (r, c) in cells}
     transposed = width > height

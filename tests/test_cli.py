@@ -7,6 +7,7 @@ import json
 import pytest
 
 from lambdadet.cli import main
+from lambdadet.errors import SizeMismatch
 from lambdadet.reproduce import run_all
 
 TWO_BY_TWO = json.dumps({"size": 2, "entries": [[2, 3], [5, 7]]})
@@ -238,8 +239,13 @@ class TestTilingCommands:
         assert code == 0
         assert "tilings: 1346269" in out
 
-    def test_wide_strip_is_refused(self, capsys):
-        code, _, err = run(capsys, "tile", "--shape", "rect:2:30")
+    def test_wide_strip_is_swept_transposed(self, capsys):
+        code, out, _ = run(capsys, "tile", "--shape", "rect:2:30")
+        assert code == 0
+        assert "tilings: 1346269" in out
+
+    def test_square_too_wide_both_ways_is_refused(self, capsys):
+        code, _, err = run(capsys, "tile", "--shape", "square:25")
         assert code == 1
         assert "WidthExceeded" in err
 
@@ -358,6 +364,16 @@ class TestKuoAndReproduce:
             assert "SizeMismatch" in err and "check %d," % number in err
             assert "PASS" not in out and "FAIL" not in out
 
+    def test_run_all_refuses_a_bad_selection_before_running_any(self):
+        lines = []
+        for numbers, message in (
+            ([3, 99], "check 99,"),
+            ([3, 3], "check 3 more than once"),
+        ):
+            with pytest.raises(SizeMismatch, match=message):
+                run_all(numbers=numbers, writer=lines.append)
+        assert lines == []
+
     def test_reproduce_reads_a_negative_check_as_a_value(self, capsys):
         for argv in (["--checks", "-1,2"], ["--checks=-1,2"]):
             code, out, err = run(capsys, "reproduce", *argv)
@@ -376,3 +392,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["asm", "count"])
         assert exc.value.code == 2
+
+
+MALFORMED = {
+    "lam-zero-denominator": ["det-numeric", "--size-from", "ones:2", "--lam", "1/0"],
+    "eval-zero-denominator": ["det", "--size-from", "ones:2", "--eval", "1/0"],
+    "spec-zero-denominator": ["det", "--size-from", "mc:1/0"],
+    "entry-zero-denominator": ["det", "--matrix", json.dumps({"entries": [["1/0"]]})],
+    "term-zero-denominator": ["det", "--matrix", json.dumps({"entries": [["1/0*l^1"]]})],
+    "weight-zero-denominator": [
+        "tile", "--shape", "square:2", "--weights", json.dumps([[[1, 1], [1, 2], "1/0"]])
+    ],
+    "matrix-json-list": ["det", "--matrix", "[1]"],
+    "matrix-json-null": ["det", "--matrix", "null"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")

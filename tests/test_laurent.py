@@ -471,6 +471,15 @@ class TestTextForm:
         assert parse_rational("-2") == -2
         assert parse_rational("3/2") == Fraction(3, 2)
 
+    def test_zero_denominator_is_malformed_text(self):
+        for parse, text in (
+            (parse_rational, "1/0"),
+            (LaurentPoly.parse, "1/0*l^1"),
+            (LaurentPoly.parse, "1 + -3/0*t^2"),
+        ):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse(text)
+
     def test_coerce_entry(self):
         assert coerce_entry(5) == LaurentPoly.const(5)
         assert coerce_entry("1*t^2") == T_VAR**2

@@ -8,15 +8,17 @@ from random import Random
 import pytest
 
 from lambdadet.errors import SizeMismatch
-from lambdadet.laurent import LaurentPoly, T_VAR
+from lambdadet.laurent import ONE, ZERO, LaurentPoly, T_VAR
 from lambdadet.matrices import (
     PolyMatrix,
     center_perturbed,
     diamond_even,
     diamond_odd,
+    diamond_pattern,
     ones_matrix,
     random_monomial_matrix,
 )
+from lambdadet.tilings import diamond_cells
 
 
 class TestPolyMatrix:
@@ -49,6 +51,11 @@ class TestPolyMatrix:
             PolyMatrix.from_json('{"size": 3, "entries": [[1, 2], [3, 4]]}')
         with pytest.raises(SizeMismatch):
             PolyMatrix.from_json('{"entries": 7}')
+
+    def test_json_document_must_be_an_object(self):
+        for text in ("[1]", "null", "7", '"entries"'):
+            with pytest.raises(SizeMismatch, match="must be an object"):
+                PolyMatrix.from_json(text)
 
     def test_transpose_and_symmetry(self):
         matrix = PolyMatrix.from_rows([[1, 2], [3, 4]])
@@ -87,6 +94,21 @@ class TestFamilies:
             assert matrix.size == 2 * n + 1
             ones = sum(1 for row in matrix.rows for cell in row if not cell.is_zero())
             assert ones == 2 * n * (n + 1) + 1
+
+    def test_diamond_pattern_marks_the_diamond_cells(self):
+        for size in range(1, 10):
+            matrix = diamond_pattern(size)
+            ones = {
+                (i + 1, j + 1)
+                for i, row in enumerate(matrix.rows)
+                for j, cell in enumerate(row)
+                if cell == ONE
+            }
+            assert ones == diamond_cells(size)
+            assert all(cell in (ONE, ZERO) for row in matrix.rows for cell in row)
+        for size in (0, -1):
+            with pytest.raises(SizeMismatch):
+                diamond_pattern(size)
 
     def test_even_diamond_rows_match_band_pattern(self):
         rows = [

@@ -19,6 +19,7 @@ from lambdadet.tilings import (
     aztec_count_formula,
     aztec_region,
     count_tilings,
+    diamond_cells,
     diamond_window_region,
     edge_key,
     kuo_identity_check,
@@ -49,6 +50,25 @@ class TestRegions:
         assert aztec_region(0) == frozenset()
         for n in range(1, 6):
             assert len(aztec_region(n)) == 2 * n * (n + 1)
+
+    def test_diamond_cells_follow_both_parity_forms(self):
+        for size in range(1, 20):
+            n, odd = divmod(size, 2)
+            span = range(1, size + 1)
+            if odd:
+                expected = {
+                    (r, c) for r in span for c in span
+                    if abs(r - n - 1) + abs(c - n - 1) <= n
+                }
+            else:
+                expected = {
+                    (r, c) for r in span for c in span
+                    if abs(2 * r - 2 * n - 1) + abs(2 * c - 2 * n - 1) <= 2 * n
+                }
+            assert diamond_cells(size) == expected
+            if not odd:
+                assert aztec_region(n) == expected
+        assert diamond_cells(0) == diamond_cells(-3) == aztec_region(-1) == frozenset()
 
     def test_aztec_region_order_one_shape(self):
         assert aztec_region(1) == region_from_cells([(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -312,9 +332,12 @@ class TestTrigonometricProduct:
 
 
 class TestGuards:
-    def test_wide_region_is_refused_with_advice(self):
-        with pytest.raises(WidthExceeded, match="transpose"):
-            matching_sum(rectangle_region(2, 30))
+    def test_wide_region_is_swept_transposed(self):
+        assert matching_sum(rectangle_region(2, 30)) == 1346269
+
+    def test_region_wide_both_ways_is_refused(self):
+        with pytest.raises(WidthExceeded, match="shorter side"):
+            matching_sum(square_region(25))
 
     def test_brute_force_cell_cap(self):
         with pytest.raises(OrderExceeded):

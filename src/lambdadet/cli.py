@@ -1,7 +1,8 @@
 """Command line interface.
 
-One subcommand per capability: exact determinants (det, det-numeric,
-eq2), the condensation trace, matrix and region generators (diamond,
+One subcommand per capability: exact determinants (det and eq2, which
+share one perturb-and-limit pipeline and differ only in the engine, and
+det-numeric), the condensation trace, matrix and region generators (diamond,
 tile, tfk), alternating-sign matrix utilities (asm), the graphical
 condensation identity (kuo-check), and the headline-number runner
 (reproduce).  Exit status 0 on success, 1 on any domain error (printed
@@ -32,7 +33,7 @@ from .asm import (
     min_region_sum,
     sketch,
 )
-from .condensation import numeric_pyramid, perturbed_det
+from .condensation import lambda_det, numeric_pyramid, perturbed_det
 from .errors import LambdaDetError, SizeMismatch
 from .laurent import parse_rational
 from .matrices import (
@@ -133,21 +134,18 @@ def _print_poly(label: str, poly) -> None:
     print("%s (%d term%s): %s" % (label, count, "" if count == 1 else "s", poly.to_text()))
 
 
-def _print_det(det, limit, eval_text: str | None) -> None:
-    """The determinant, its t->0 limit, and with --eval the limit's value."""
-    _print_poly("determinant", det)
-    _print_poly("limit t->0", limit)
-    if eval_text is not None:
-        value = limit.eval_at(parse_rational(eval_text))
-        print("limit value at l=%s: %s" % (eval_text, value))
-
-
 def cmd_det(args) -> int:
+    """det and eq2: the determinant by args.engine, its t->0 limit, and
+    with --eval the limit's value."""
     matrix = _load_matrix(args)
-    result = perturbed_det(matrix)
+    lam = None if args.eval is None else parse_rational(args.eval)
+    result = perturbed_det(matrix, args.engine)
     print("size: %d" % matrix.size)
     print("zeros perturbed to t: %s" % ("yes" if result.was_perturbed else "no"))
-    _print_det(result.det, result.limit, args.eval)
+    _print_poly("determinant", result.det)
+    _print_poly("limit t->0", result.limit)
+    if lam is not None:
+        print("limit value at l=%s: %s" % (args.eval, result.limit.eval_at(lam)))
     return 0
 
 
@@ -166,14 +164,6 @@ def cmd_trace(args) -> int:
         print("layer %d:" % k)
         for row in pyramid.layer(k):
             print("  " + " ".join(str(v) for v in row))
-    return 0
-
-
-def cmd_eq2(args) -> int:
-    matrix = _load_matrix(args)
-    work = matrix.perturb_zeros() if args.perturb else matrix
-    det = lambda_det_sum(work)
-    _print_det(det, det.limit_t0(), args.eval)
     return 0
 
 
@@ -254,9 +244,11 @@ def cmd_tile(args) -> int:
 
 
 def cmd_tfk(args) -> int:
+    if args.n < 0:
+        raise SizeMismatch("tfk needs n >= 0, got %d" % args.n)
     approx = tfk_count(args.n)
     exact = count_tilings(square_region(2 * args.n))
-    rel = abs(approx - exact) / exact if exact else 0.0
+    rel = abs(approx - exact) / exact
     print("product formula: %.6f" % approx)
     print("exact count:     %d" % exact)
     print("relative error:  %.3e" % rel)
@@ -264,6 +256,8 @@ def cmd_tfk(args) -> int:
 
 
 def cmd_kuo_check(args) -> int:
+    if args.trials < 0 or args.order < args.min_order:
+        raise SizeMismatch("kuo-check needs --trials >= 0 and --order >= --min-order")
     rng = Random(args.seed)
     failed = 0
     for order in range(args.min_order, args.order + 1):
@@ -320,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_matrix_arguments(det)
     det.add_argument("--eval", help="also evaluate the limit at this rational l")
-    det.set_defaults(func=cmd_det)
+    det.set_defaults(func=cmd_det, engine=lambda_det)
 
     num = commands.add_parser(
         "det-numeric", help="rational-arithmetic determinant at a fixed l"
@@ -337,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     eq2 = commands.add_parser(
-        "eq2", help="determinant via the sum over alternating-sign matrices"
+        "eq2", help="det's pipeline with the sum over alternating-sign matrices"
     )
     _add_matrix_arguments(eq2)
     eq2.add_argument("--eval", help="also evaluate the limit at this rational l")
-    eq2.add_argument("--perturb", action="store_true", help="replace zeros by t first")
-    eq2.set_defaults(func=cmd_eq2)
+    eq2.set_defaults(func=cmd_det, engine=lambda_det_sum)
 
     diamond = commands.add_parser("diamond", help="print a diamond 0/1 matrix")
     diamond.add_argument("parity", choices=("even", "odd"))

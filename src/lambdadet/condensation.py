@@ -13,9 +13,13 @@ that is identically zero stops the recurrence (ZeroMinor).  The numeric
 engine takes a constant matrix and a rational value of l; a vanishing
 divisor under a nonzero numerator is a genuine breakdown.  A 0/0 step is
 not guessed.  For a matrix with zero entries the numeric engine reruns
-the driver on the perturbed matrix (each zero replaced by t) over
-Q[t, 1/t] at that l and takes t -> 0.  That is perturbed_det's pipeline
-with l fixed, so the two engines agree on the limit.
+the symbolic engine at that l on the perturbed matrix (each zero
+replaced by t) and takes t -> 0.  That is perturbed_det's pipeline with
+l fixed, so the two engines agree on the limit.
+
+perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
+by t, runs an engine (condensation, or the sum over alternating-sign
+matrices) and lets t -> 0.
 
 A matrix and its transpose share the same pyramid up to reflection, so
 for symmetric input each layer is computed above the diagonal only and
@@ -107,9 +111,10 @@ def _divide_symbolic(numerator, divisor, k: int, i: int, j: int):
     return numerator.exact_div(divisor)
 
 
-def symbolic_pyramid(matrix: PolyMatrix) -> Pyramid:
-    """Full pyramid over the exact ring, with l as a variable."""
-    return _condense(matrix.rows, LAM, _divide_symbolic, matrix.is_symmetric())
+def symbolic_pyramid(matrix: PolyMatrix, lam: LaurentPoly = LAM) -> Pyramid:
+    """Full pyramid over the exact ring, with l as a variable or, given
+    lam, at that fixed value of l."""
+    return _condense(matrix.rows, lam, _divide_symbolic, matrix.is_symmetric())
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
@@ -149,18 +154,14 @@ def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
     base = matrix.constant_entries()
     if isinstance(lam_value, Fraction) and lam_value.denominator == 1:
         lam_value = lam_value.numerator
-    symmetric = matrix.is_symmetric()
     try:
-        return _condense(base, lam_value, divide, symmetric)
+        return _condense(base, lam_value, divide, matrix.is_symmetric())
     except IndeterminateForm:
         if not matrix.has_zero_entry():
             raise
     try:
-        perturbed = _condense(
-            matrix.perturb_zeros().rows,
-            LaurentPoly.const(lam_value),
-            _divide_symbolic,
-            symmetric,
+        perturbed = symbolic_pyramid(
+            matrix.perturb_zeros(), LaurentPoly.const(lam_value)
         )
     except ZeroMinor as exc:
         raise IndeterminateForm(
@@ -184,14 +185,18 @@ class PerturbedDet:
     was_perturbed: bool
 
 
-def perturbed_det(matrix: PolyMatrix) -> PerturbedDet:
-    """Replace zero entries by t, condense symbolically, then let t -> 0.
+def perturbed_det(
+    matrix: PolyMatrix, engine: Callable[[PolyMatrix], LaurentPoly] = lambda_det
+) -> PerturbedDet:
+    """Replace zero entries by t, take the lambda-determinant, let t -> 0.
 
-    For a matrix with no zero entries this is plain symbolic condensation
-    followed by a (trivial or not) limit.  PoleAtZero propagates when the
-    determinant keeps a negative t-power, in which case no limit exists.
+    The engine computes the determinant: condensation by default, or
+    asm.lambda_det_sum for the sum over alternating-sign matrices.  For a
+    matrix with no zero entries nothing is perturbed and the limit is
+    trivial or not.  PoleAtZero propagates when the determinant keeps a
+    negative t-power, in which case no limit exists.
     """
     was_perturbed = matrix.has_zero_entry()
     work = matrix.perturb_zeros() if was_perturbed else matrix
-    det = symbolic_pyramid(work).top
+    det = engine(work)
     return PerturbedDet(det=det, limit=det.limit_t0(), was_perturbed=was_perturbed)

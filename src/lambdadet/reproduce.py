@@ -336,13 +336,20 @@ CHECKS: tuple[tuple[str, Callable[[ReproductionSession], tuple[bool, str]]], ...
 )
 
 
+def _known_check(number: int):
+    """The (name, check) pair for a 1-based number; SizeMismatch if none."""
+    if not 1 <= number <= len(CHECKS):
+        raise SizeMismatch(
+            "unknown check %d, a check number must be in 1..%d" % (number, len(CHECKS))
+        )
+    return CHECKS[number - 1]
+
+
 def run_check(
     number: int, session: ReproductionSession | None = None
 ) -> CheckResult:
-    """Run one check by its 1-based number."""
-    if not 1 <= number <= len(CHECKS):
-        raise ValueError("check number must be in 1..%d" % len(CHECKS))
-    name, fn = CHECKS[number - 1]
+    """Run one check by its 1-based number (SizeMismatch outside 1..14)."""
+    name, fn = _known_check(number)
     session = session or ReproductionSession()
     start = time.perf_counter()
     try:
@@ -370,11 +377,7 @@ def run_all(
     """
     numbers = range(1, len(CHECKS) + 1) if numbers is None else list(numbers)
     for number in numbers:
-        if not 1 <= number <= len(CHECKS):
-            raise SizeMismatch(
-                "unknown check %d, a check number must be in 1..%d"
-                % (number, len(CHECKS))
-            )
+        _known_check(number)
         if numbers.count(number) > 1:
             raise SizeMismatch("the check list names check %d more than once" % number)
     session = session or ReproductionSession()

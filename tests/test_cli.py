@@ -8,7 +8,7 @@ import pytest
 
 from lambdadet.cli import main
 from lambdadet.errors import SizeMismatch
-from lambdadet.reproduce import run_all
+from lambdadet.reproduce import run_all, run_check
 
 TWO_BY_TWO = json.dumps({"size": 2, "entries": [[2, 3], [5, 7]]})
 
@@ -126,18 +126,25 @@ class TestSummation:
             "eq2",
             "--size-from",
             "diamond:even:2",
-            "--perturb",
             "--eval",
             "1",
         )
         assert code == 0
         assert "limit value at l=1: 36" in out
 
+    def test_eq2_prints_what_det_prints(self, capsys):
+        # One perturb-and-limit pipeline: only the engine differs.
+        argv = ("--size-from", "diamond:even:4", "--eval", "1")
+        det_code, det_out, _ = run(capsys, "det", *argv)
+        eq2_code, eq2_out, _ = run(capsys, "eq2", *argv)
+        assert det_code == eq2_code == 0
+        assert eq2_out == det_out
+
     def test_enumeration_cap_guards_large_sizes(self, capsys):
         # eq2 folds over profiles and lists no ASM, so the enumeration cap
         # does not apply; the fold's transition-table limit refuses size 13.
         code, out, _ = run(
-            capsys, "eq2", "--size-from", "diamond:even:4", "--perturb", "--eval", "1"
+            capsys, "eq2", "--size-from", "diamond:even:4", "--eval", "1"
         )
         assert code == 0
         assert "limit value at l=1: 12988816" in out
@@ -373,6 +380,8 @@ class TestKuoAndReproduce:
             with pytest.raises(SizeMismatch, match=message):
                 run_all(numbers=numbers, writer=lines.append)
         assert lines == []
+        with pytest.raises(SizeMismatch, match="check 99,"):
+            run_check(99)
 
     def test_reproduce_reads_a_negative_check_as_a_value(self, capsys):
         for argv in (["--checks", "-1,2"], ["--checks=-1,2"]):
@@ -405,11 +414,15 @@ MALFORMED = {
     ],
     "matrix-json-list": ["det", "--matrix", "[1]"],
     "matrix-json-null": ["det", "--matrix", "null"],
+    "kuo-negative-trials": ["kuo-check", "--trials", "-1"],
+    "kuo-empty-order-range": ["kuo-check", "--order", "1"],
+    "tfk-negative-n": ["tfk", "-3"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ")

@@ -35,7 +35,6 @@ from .condensation import (
 )
 from .errors import (
     CapExceeded,
-    CondensationBreakdown,
     DivisionByZero,
     ExponentOverflow,
     IndeterminateForm,

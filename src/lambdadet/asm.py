@@ -31,7 +31,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, DivisionByZero, NonMonomialEntry, TableTooLarge
+from .errors import (
+    CapExceeded,
+    DivisionByZero,
+    NonMonomialEntry,
+    SizeMismatch,
+    TableTooLarge,
+)
 from .laurent import LAM, ONE, ONE_PLUS_LAM, LaurentPoly
 from .matrices import PolyMatrix
 
@@ -85,7 +91,7 @@ def _build_table(n: int) -> dict[int, tuple[Transition, ...]]:
     the fold.  The row adds inv_r inversions and neg_r entries -1.
     """
     if n < 1:
-        raise ValueError("size must be positive")
+        raise SizeMismatch("size must be positive")
     # Column by column, a (profile, row) pair keeps the row's running sum
     # (either profile bit allows it) or flips it (one bit does), so the
     # table holds entry (0, 1) of [[2, 1], [1, 2]]^n: (3^n - 1)/2 transitions.

@@ -116,14 +116,17 @@ def _parse_region(text: str):
 def _region_from_shape(spec: str):
     parts = spec.split(":")
     try:
-        if parts[0] == "square" and len(parts) == 2:
-            return square_region(int(parts[1]))
-        if parts[0] == "aztec" and len(parts) == 2:
-            return aztec_region(int(parts[1]))
-        if parts[0] == "rect" and len(parts) == 3:
-            return rectangle_region(int(parts[1]), int(parts[2]))
+        sizes = [int(part) for part in parts[1:]]
     except ValueError as exc:
         raise SizeMismatch("bad shape spec %r: %s" % (spec, exc))
+    if any(size < 0 for size in sizes):
+        raise SizeMismatch("shape spec %r has a negative size" % spec)
+    if parts[0] == "square" and len(sizes) == 1:
+        return square_region(*sizes)
+    if parts[0] == "aztec" and len(sizes) == 1:
+        return aztec_region(*sizes)
+    if parts[0] == "rect" and len(sizes) == 2:
+        return rectangle_region(*sizes)
     raise SizeMismatch(
         "unknown shape spec %r (use square:N, aztec:N, rect:H:W)" % spec
     )

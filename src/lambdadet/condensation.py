@@ -7,15 +7,24 @@ connected square window of an n-by-n matrix yields a pyramid of layers:
 layer k is an (n-k+1)-by-(n-k+1) grid whose (i, j) entry (1-based) is the
 lambda-determinant of the window with top left corner (i, j).
 
-Two engines share one driver.  The symbolic engine works over the exact
-ring with l as a variable; divisions must be exact there, and a divisor
-that is identically zero stops the recurrence (ZeroMinor).  The numeric
-engine takes a constant matrix and a rational value of l; a vanishing
-divisor under a nonzero numerator is a genuine breakdown.  A 0/0 step is
-not guessed.  For a matrix with zero entries the numeric engine reruns
-the symbolic engine at that l on the perturbed matrix (each zero
-replaced by t) and takes t -> 0.  That is perturbed_det's pipeline with
-l fixed, so the two engines agree on the limit.
+One driver, _condense, runs the recurrence over the exact ring, with l
+as a variable or fixed at a value.  Divisions must be exact there, and a
+divisor that is identically zero stops the recurrence (ZeroMinor).
+
+The numeric engine is the same pipeline at a fixed rational l: it
+replaces each zero entry by t, condenses over Q[t, 1/t] and lets t -> 0
+entry by entry.  It needs no zero handling of its own.  Fixing l is a
+ring map, so up to the first zero divisor every value is its window's
+lambda-determinant at that l, and a zero divisor's numerator is
+v(W) * 0 = 0: the only failure of the recurrence is a 0/0 that
+perturbing zeros did not resolve, reported as IndeterminateForm.  A
+divisor that vanishes only at t = 0 (an x/0 step of the unperturbed
+recurrence) leaves a negative t-power in its window's value, which has
+no limit and is reported as PoleAtZero with the first such window and
+the value of l.  Limits are taken once the recurrence is complete, so
+when a later divisor vanishes for every t, that 0/0 is reported instead
+of the pole.  At l = 0 a window's lambda-determinant is its diagonal
+product, which no perturbed matrix makes zero, so l = 0 never fails.
 
 perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
 by t, runs an engine (condensation, or the sum over alternating-sign
@@ -35,10 +44,9 @@ divisions run over Z whatever the entries' coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import CondensationBreakdown, IndeterminateForm, ZeroMinor
+from .errors import IndeterminateForm, PoleAtZero, ZeroMinor
 from .laurent import LAM, LaurentPoly, Rational
 from .matrices import PolyMatrix
 
@@ -70,12 +78,7 @@ class Pyramid:
         return self.layers[k - 1][i - 1][j - 1]
 
 
-Divide = Callable[[object, object, int, int, int], object]
-
-
-def _condense(
-    base: Sequence[Sequence[object]], lam, divide: Divide, symmetric: bool
-) -> Pyramid:
+def _condense(base: Sequence[Sequence[object]], lam, symmetric: bool) -> Pyramid:
     n = len(base)
     layers: list[tuple[tuple[object, ...], ...]] = [
         tuple(tuple(row) for row in base)
@@ -93,7 +96,14 @@ def _condense(
                 if below is None:
                     value = numerator
                 else:
-                    value = divide(numerator, below[i + 1][j + 1], k, i + 1, j + 1)
+                    divisor = below[i + 1][j + 1]
+                    if divisor.is_zero():
+                        raise ZeroMinor(
+                            "the %d-by-%d window at (%d, %d) has identically zero "
+                            "lambda-determinant, so condensation cannot divide by it"
+                            % (k - 2, k - 2, i + 2, j + 2)
+                        )
+                    value = numerator.exact_div(divisor)
                 grid[i][j] = value
                 if symmetric and j != i:
                     grid[j][i] = value
@@ -101,20 +111,10 @@ def _condense(
     return Pyramid(tuple(layers))
 
 
-def _divide_symbolic(numerator, divisor, k: int, i: int, j: int):
-    if divisor.is_zero():
-        raise ZeroMinor(
-            "the %d-by-%d window at (%d, %d) has identically zero "
-            "lambda-determinant, so condensation cannot divide by it"
-            % (k - 2, k - 2, i + 1, j + 1)
-        )
-    return numerator.exact_div(divisor)
-
-
 def symbolic_pyramid(matrix: PolyMatrix, lam: LaurentPoly = LAM) -> Pyramid:
     """Full pyramid over the exact ring, with l as a variable or, given
     lam, at that fixed value of l."""
-    return _condense(matrix.rows, lam, _divide_symbolic, matrix.is_symmetric())
+    return _condense(matrix.rows, lam, matrix.is_symmetric())
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
@@ -128,50 +128,38 @@ _KEEP_L_SYMBOLIC = "`lambdadet det --eval` keeps l symbolic"
 def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
     """Pyramid of exact rational values at a fixed l.
 
-    A nonzero numerator over a zero divisor raises CondensationBreakdown.
-    A 0/0 step in a matrix with zero entries is resolved exactly: the
-    recurrence reruns with every zero perturbed to t, over Q[t, 1/t] at
-    this l, and each entry is its t -> 0 limit (PoleAtZero if there is
-    none).  A 0/0 that this cannot resolve, because the matrix has no
-    zero entry or a divisor of the rerun vanishes for every t, raises
-    IndeterminateForm.
+    Every zero entry is perturbed to t, the recurrence runs over Q[t, 1/t]
+    at this l, and each entry is its t -> 0 limit.  A window whose value
+    keeps a negative t-power raises PoleAtZero; a divisor that vanishes
+    for every t raises IndeterminateForm.  Non-constant entries raise
+    SizeMismatch.
     """
-
-    def divide(numerator, divisor, k: int, i: int, j: int):
-        if divisor == 0:
-            where = "the %d-by-%d window at (%d, %d)" % (k, k, i, j)
-            if numerator == 0:
-                raise IndeterminateForm(
-                    "0/0 at l = %s while condensing %s; %s"
-                    % (lam_value, where, _KEEP_L_SYMBOLIC)
-                )
-            raise CondensationBreakdown(
-                "nonzero numerator over a zero minor while condensing %s" % where
-            )
-        quotient = Fraction(numerator) / Fraction(divisor)
-        return quotient.numerator if quotient.denominator == 1 else quotient
-
-    base = matrix.constant_entries()
-    if isinstance(lam_value, Fraction) and lam_value.denominator == 1:
-        lam_value = lam_value.numerator
-    try:
-        return _condense(base, lam_value, divide, matrix.is_symmetric())
-    except IndeterminateForm:
-        if not matrix.has_zero_entry():
-            raise
+    matrix.constant_entries()  # SizeMismatch unless every entry is constant
     try:
         perturbed = symbolic_pyramid(
             matrix.perturb_zeros(), LaurentPoly.const(lam_value)
         )
     except ZeroMinor as exc:
         raise IndeterminateForm(
-            "0/0 at l = %s persists with zeros perturbed to t: %s; %s"
+            "0/0 at l = %s with zeros perturbed to t: %s; %s"
             % (lam_value, exc, _KEEP_L_SYMBOLIC)
         ) from exc
+
+    def limit(value, k: int, i: int, j: int):
+        if value.min_t_exp() < 0:
+            raise PoleAtZero(
+                "the %d-by-%d window at (%d, %d) keeps t^%d at l = %s, so it "
+                "has no t -> 0 limit" % (k, k, i, j, value.min_t_exp(), lam_value)
+            )
+        return value.limit_t0().eval_at(lam_value)
+
     return Pyramid(
         tuple(
-            tuple(tuple(v.limit_t0().eval_at(lam_value) for v in row) for row in layer)
-            for layer in perturbed.layers
+            tuple(
+                tuple(limit(value, k, i, j) for j, value in enumerate(row, 1))
+                for i, row in enumerate(layer, 1)
+            )
+            for k, layer in enumerate(perturbed.layers, 1)
         )
     )
 

@@ -53,10 +53,6 @@ class IndeterminateForm(LambdaDetError):
     """The numeric recurrence hit a 0/0 that perturbing zeros cannot resolve."""
 
 
-class CondensationBreakdown(LambdaDetError):
-    """The numeric recurrence hit x/0 with x nonzero."""
-
-
 class WidthExceeded(LambdaDetError):
     """A region is wider than the tiling counter's frontier allows."""
 

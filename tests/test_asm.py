@@ -32,6 +32,7 @@ from lambdadet.errors import (
     DivisionByZero,
     LambdaDetError,
     NonMonomialEntry,
+    SizeMismatch,
     TableTooLarge,
 )
 from lambdadet.laurent import LAM, ONE_PLUS_LAM, LaurentPoly
@@ -137,6 +138,11 @@ class TestEnumeration:
             with pytest.raises(TableTooLarge, match="797161"):
                 fold()
         assert issubclass(TableTooLarge, LambdaDetError)
+
+    def test_size_below_one_is_a_domain_error(self):
+        for n in (0, -1):
+            with pytest.raises(SizeMismatch, match="size must be positive"):
+                count_asms(n)
 
 
 class TestTransitionTable:

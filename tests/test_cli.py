@@ -85,6 +85,13 @@ class TestNumericAndTrace:
         assert code == 0
         assert out.strip() == "-1313216"
 
+    def test_pole_names_the_window(self, capsys):
+        matrix = json.dumps({"entries": [[1, 1, 1], [1, 0, 1], [1, 1, 2]]})
+        code, out, err = run(capsys, "det-numeric", "--matrix", matrix, "--lam", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: PoleAtZero: the 3-by-3 window at (1, 1)")
+
     def test_numeric_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "det-numeric", "--size-from", "mc:1")
         assert code == 1
@@ -417,6 +424,11 @@ MALFORMED = {
     "kuo-negative-trials": ["kuo-check", "--trials", "-1"],
     "kuo-empty-order-range": ["kuo-check", "--order", "1"],
     "tfk-negative-n": ["tfk", "-3"],
+    "tile-negative-square": ["tile", "--shape", "square:-2"],
+    "tile-negative-rect": ["tile", "--shape", "rect:-1:3"],
+    "tile-negative-aztec": ["tile", "--shape", "aztec:-2"],
+    "asm-count-size-zero": ["asm", "count", "--size", "0"],
+    "asm-enumerate-size-negative": ["asm", "enumerate", "--size", "-1"],
 }
 
 

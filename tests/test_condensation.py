@@ -18,7 +18,6 @@ from lambdadet.condensation import (
     symbolic_pyramid,
 )
 from lambdadet.errors import (
-    CondensationBreakdown,
     IndeterminateForm,
     PoleAtZero,
     SizeMismatch,
@@ -55,6 +54,26 @@ def gauss_det(rows: list[list[Fraction]]) -> Fraction:
     for i in range(n):
         result *= work[i][i]
     return result
+
+
+def plain_condensation(rows: list[list[Fraction]], lam: Fraction) -> list[list[list[Fraction]]]:
+    """Fraction condensation with no zero handling, written independently:
+    the layers, or ZeroDivisionError(numerator, k, i, j) at the first zero
+    divisor, met while condensing the k-by-k window at (i, j)."""
+    layers = [[[Fraction(v) for v in row] for row in rows]]
+    for k in range(2, len(rows) + 1):
+        up, span = layers[-1], len(rows) - k + 1
+        layer = []
+        for i in range(span):
+            layer.append([])
+            for j in range(span):
+                num = up[i][j] * up[i + 1][j + 1] + lam * up[i][j + 1] * up[i + 1][j]
+                den = layers[-2][i + 1][j + 1] if k > 2 else 1
+                if den == 0:
+                    raise ZeroDivisionError(num, k, i + 1, j + 1)
+                layer[i].append(num / den)
+        layers.append(layer)
+    return layers
 
 
 rational_entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -121,7 +140,7 @@ class TestEngineAgreement:
     def test_classical_determinant_at_minus_one(self, rows):
         try:
             top = numeric_pyramid(PolyMatrix.from_rows(rows), -1).top
-        except (IndeterminateForm, CondensationBreakdown):
+        except (IndeterminateForm, PoleAtZero):
             assume(False)
         assert top == gauss_det(rows)
 
@@ -136,7 +155,7 @@ class TestEngineAgreement:
             ]
             try:
                 top = numeric_pyramid(PolyMatrix.from_rows(rows), -1).top
-            except (IndeterminateForm, CondensationBreakdown):
+            except (IndeterminateForm, PoleAtZero):
                 continue
             assert top == gauss_det(rows)
             hits += 1
@@ -204,6 +223,44 @@ class TestNumericZeroOverZero:
                         for j in range(1, span + 1):
                             expected = symbolic.value(k, i, j).limit_t0().eval_at(lam)
                             assert numeric.value(k, i, j) == expected
+
+    def test_agrees_with_plain_condensation(self):
+        # Where plain Fraction condensation never divides by zero, the
+        # perturbed pipeline gives its layers exactly.  Where it meets x/0,
+        # that window's value keeps a pole in t, unless a later divisor of
+        # the perturbed recurrence vanishes for every t (seen here as a zero
+        # divisor of plain condensation with every zero set to t = 1/7919).
+        rng = Random(410)
+        outcomes = {"layers": 0, "pole": 0, "0/0 after x/0": 0, "0/0": 0}
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            matrix = PolyMatrix.from_rows(rows)
+            for lam in (1, -1, 2, -2, Fraction(1, 2)):
+                try:
+                    expected = plain_condensation(rows, Fraction(lam))
+                except ZeroDivisionError as exc:
+                    numerator, k, i, j = exc.args
+                    if numerator == 0:
+                        outcomes["0/0"] += 1
+                        continue
+                    try:
+                        at_t = [[v or Fraction(1, 7919) for v in row] for row in rows]
+                        plain_condensation(at_t, Fraction(lam))
+                    except ZeroDivisionError:
+                        outcomes["0/0 after x/0"] += 1
+                        with pytest.raises(IndeterminateForm):
+                            numeric_pyramid(matrix, lam)
+                        continue
+                    outcomes["pole"] += 1
+                    window = r"the %d-by-%d window at \(%d, %d\)" % (k, k, i, j)
+                    with pytest.raises(PoleAtZero, match=window):
+                        numeric_pyramid(matrix, lam)
+                    continue
+                outcomes["layers"] += 1
+                pyramid = numeric_pyramid(matrix, lam)
+                assert [[list(row) for row in layer] for layer in pyramid.layers] == expected
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_exact_limits_at_minus_two(self):
         assert numeric_pyramid(diamond_even(4), -2).top == -1313216
@@ -337,8 +394,10 @@ class TestFailureModes:
         matrix = PolyMatrix.from_rows(
             [[1, 1, 1], [1, 0, 1], [1, 1, 2]]
         )
-        with pytest.raises(CondensationBreakdown):
+        with pytest.raises(PoleAtZero, match=r"3-by-3 window at \(1, 1\)"):
             numeric_pyramid(matrix, 1)
+        with pytest.raises(PoleAtZero):
+            perturbed_det(matrix)
 
     def test_numeric_needs_constant_entries(self):
         with pytest.raises(SizeMismatch):

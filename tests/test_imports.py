@@ -1,7 +1,8 @@
 """Every name a module imports is used in it (no linter is configured),
 only laurent.py reads LaurentPoly's private attributes, so the layout of a
-value can change in that one module, and no package module imports
-another's private (underscore) names."""
+value can change in that one module, no package module imports
+another's private (underscore) names, and every error type is raised
+somewhere in the package."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/lambdadet"
 SCANNED = (PACKAGE, "scripts", "tests")
 LAURENT = ROOT / "src/lambdadet/laurent.py"
+ERRORS = ROOT / "src/lambdadet/errors.py"
 PRIVATE = frozenset(LaurentPoly.__slots__) | {"_wrap", "_reduced"}
 
 
@@ -112,3 +114,35 @@ def test_no_module_imports_private_package_names():
         for name in private_imports(path.read_text())
     ]
     assert found == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names that a raise statement raises, called or not."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_scanner_collects_raised_names():
+    source = (
+        "def f(x):\n    if x:\n        raise KeyError(x)\n"
+        "    try:\n        pass\n    except ValueError:\n        raise\n"
+        "    raise StopIteration\n"
+    )
+    assert raised_names(source) == {"KeyError", "StopIteration"}
+
+
+def test_every_error_type_is_raised():
+    declared = {
+        node.name
+        for node in ast.parse(ERRORS.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name != "LambdaDetError"
+    }
+    raised = set().union(
+        *(raised_names(path.read_text()) for path in (ROOT / PACKAGE).glob("*.py"))
+    )
+    assert sorted(declared - raised) == []

@@ -78,6 +78,18 @@ class Pyramid:
         return self.layers[k - 1][i - 1][j - 1]
 
 
+def _window(k: int, i: int, j: int) -> str:
+    return "the %d-by-%d window at (%d, %d)" % (k, k, i, j)
+
+
+def _pole(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> PoleAtZero:
+    """The error for a window value that keeps a negative t-power."""
+    return PoleAtZero(
+        "%s keeps t^%d%s, so it has no t -> 0 limit"
+        % (_window(k, i, j), value.min_t_exp(), where)
+    )
+
+
 def _condense(base: Sequence[Sequence[object]], lam, symmetric: bool) -> Pyramid:
     n = len(base)
     layers: list[tuple[tuple[object, ...], ...]] = [
@@ -98,10 +110,11 @@ def _condense(base: Sequence[Sequence[object]], lam, symmetric: bool) -> Pyramid
                 else:
                     divisor = below[i + 1][j + 1]
                     if divisor.is_zero():
+                        window = (k - 2, i + 2, j + 2)
                         raise ZeroMinor(
-                            "the %d-by-%d window at (%d, %d) has identically zero "
-                            "lambda-determinant, so condensation cannot divide by it"
-                            % (k - 2, k - 2, i + 2, j + 2)
+                            "%s has identically zero lambda-determinant, so "
+                            "condensation cannot divide by it" % _window(*window),
+                            window,
                         )
                     value = numerator.exact_div(divisor)
                 grid[i][j] = value
@@ -141,16 +154,13 @@ def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
         )
     except ZeroMinor as exc:
         raise IndeterminateForm(
-            "0/0 at l = %s with zeros perturbed to t: %s; %s"
-            % (lam_value, exc, _KEEP_L_SYMBOLIC)
+            "0/0 with zeros perturbed to t: %s is zero for every t at l = %s; %s"
+            % (_window(*exc.window), lam_value, _KEEP_L_SYMBOLIC)
         ) from exc
 
     def limit(value, k: int, i: int, j: int):
         if value.min_t_exp() < 0:
-            raise PoleAtZero(
-                "the %d-by-%d window at (%d, %d) keeps t^%d at l = %s, so it "
-                "has no t -> 0 limit" % (k, k, i, j, value.min_t_exp(), lam_value)
-            )
+            raise _pole(value, k, i, j, " at l = %s" % lam_value)
         return value.limit_t0().eval_at(lam_value)
 
     return Pyramid(
@@ -181,10 +191,14 @@ def perturbed_det(
     The engine computes the determinant: condensation by default, or
     asm.lambda_det_sum for the sum over alternating-sign matrices.  For a
     matrix with no zero entries nothing is perturbed and the limit is
-    trivial or not.  PoleAtZero propagates when the determinant keeps a
-    negative t-power, in which case no limit exists.
+    trivial or not.  When the determinant keeps a negative t-power no
+    limit exists, and PoleAtZero names the whole matrix and that power.
     """
     was_perturbed = matrix.has_zero_entry()
     work = matrix.perturb_zeros() if was_perturbed else matrix
     det = engine(work)
-    return PerturbedDet(det=det, limit=det.limit_t0(), was_perturbed=was_perturbed)
+    try:
+        limit = det.limit_t0()
+    except PoleAtZero:
+        raise _pole(det, matrix.size, 1, 1) from None
+    return PerturbedDet(det=det, limit=limit, was_perturbed=was_perturbed)

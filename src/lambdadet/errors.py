@@ -46,7 +46,14 @@ class NonMonomialEntry(LambdaDetError):
 
 
 class ZeroMinor(LambdaDetError):
-    """A connected minor used as a divisor is the zero polynomial."""
+    """A connected minor used as a divisor is the zero polynomial.
+
+    window is (k, i, j): the k-by-k window with top left corner (i, j).
+    """
+
+    def __init__(self, message: str, window: tuple[int, int, int]):
+        super().__init__(message)
+        self.window = window
 
 
 class IndeterminateForm(LambdaDetError):

@@ -7,10 +7,12 @@ edges may carry rational weights, and the weight of a matching is the
 product of its edge weights (tiling counts are the all-ones case).
 
 Two evaluators are provided on purpose.  matching_sum sweeps the region
-cell by cell with a bitmask profile of covered cells along the frontier.
-Its work is states x in-region cells, on int states (rational weights
-are cleared of denominators first), and it is fine while the shorter
-side of the region is at most 24 cells.
+cell by cell with a bitmask profile of covered cells along the frontier,
+going by rows, columns, diagonals or anti-diagonals, whichever keeps the
+frontier narrowest.  Its work is states x in-region cells, on int states
+(rational weights are cleared of denominators first), and it is fine
+while that frontier is at most 24 cells: 24 for a square of side 24, and
+n + 1 for the Aztec diamond of order n, which goes by diagonals.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the
 sweep.  The Aztec-diamond families, their four-fold overlapping
@@ -103,47 +105,81 @@ def matching_sum(
 ) -> Rational:
     """Sum of matching weights by a frontier sweep.
 
-    A region wider than tall is swept transposed, which leaves the
-    answer unchanged, so the shorter side of the bounding box must be at
-    most MAX_PROFILE_WIDTH (WidthExceeded otherwise).  Every perfect
-    matching has len(cells) // 2 edges, so the weights are first scaled
-    by D, the lcm of their denominators: the sweep then carries ints
-    only, and the sum is sweep(D * w) / D ** (len(cells) // 2).  Edges
-    outside the region are ignored and do not enter D.
+    The region is swept in the one of four cell orders whose frontier is
+    narrowest: by rows (at most W cells wide, for a bounding box of
+    height H and width W), by columns (H), by diagonals r + c, or by
+    anti-diagonals r - c.  The diagonal frontier lies on two neighbouring
+    diagonals whose cells take disjoint ranges of r - c, each in steps of
+    2, so it is at most (span(r - c) + 1) // 2 + 1 cells, where span is
+    max - min over the region; the anti-diagonal bound is the same with
+    r + c.  Ties keep rows, then columns.  The chosen bound must be at
+    most MAX_PROFILE_WIDTH (WidthExceeded otherwise); an order-n Aztec
+    diamond, 2n cells wide, needs n + 1.
+
+    Every perfect matching has len(cells) // 2 edges, so the weights are
+    first scaled by D, the lcm of their denominators: the sweep then
+    carries ints only, and the sum is sweep(D * w) / D ** (len(cells) // 2).
+    Edges outside the region are ignored and do not enter D.
     """
     if not cells:
         return 1
-    rows = sorted({r for r, _ in cells})
-    columns = sorted({c for _, c in cells})
-    width = columns[-1] - columns[0] + 1
-    height = rows[-1] - rows[0] + 1
-    if min(width, height) > MAX_PROFILE_WIDTH:
+    rows = [r for r, _ in cells]
+    columns = [c for _, c in cells]
+    differences = [r - c for r, c in cells]
+    sums = [r + c for r, c in cells]
+    r0, c0 = min(rows), min(columns)
+    height = max(rows) - r0 + 1
+    width = max(columns) - c0 + 1
+    bounds = (
+        width,
+        height,
+        (max(differences) - min(differences) + 1) // 2 + 1,
+        (max(sums) - min(sums) + 1) // 2 + 1,
+    )
+    order = min(range(4), key=bounds.__getitem__)
+    if bounds[order] > MAX_PROFILE_WIDTH:
         raise WidthExceeded(
-            "region bounding box is %d by %d; the sweep handles at most %d "
-            "along its shorter side" % (height, width, MAX_PROFILE_WIDTH)
+            "region needs a frontier of %d cells (rows %d, columns %d, "
+            "diagonals %d, anti-diagonals %d); the sweep handles at most %d"
+            % (bounds[order], *bounds, MAX_PROFILE_WIDTH)
         )
-    r0, c0 = rows[0], columns[0]
-    local = {(r - r0, c - c0) for (r, c) in cells}
-    transposed = width > height
-    if transposed:
-        local = {(c, r) for (r, c) in local}
+    # Local (row, column) coordinates from (0, 0): columns transpose the
+    # region and anti-diagonals mirror it (c -> W - 1 - c), so that rows or
+    # diagonals of the local box are swept.  Weights are looked up on the
+    # original cells.
+    if order == 1:
+        local = {(c - c0, r - r0): (r, c) for (r, c) in cells}
         height, width = width, height
+    elif order == 3:
+        local = {(r - r0, width - 1 - c + c0): (r, c) for (r, c) in cells}
+    else:
+        local = {(r - r0, c - c0): (r, c) for (r, c) in cells}
     lookup = _weight_lookup(weights)
 
-    def weight(r: int, c: int, r2: int, c2: int) -> Rational:
+    def weight(cell: Cell, neighbour: Cell) -> Rational:
         """Weight of the edge between local cells, 0 if it leaves the region."""
-        if (r2, c2) not in local:
+        if neighbour not in local:
             return 0
-        if transposed:
-            r, c, r2, c2 = c, r, c2, r2
-        return lookup((r + r0, c + c0), (r2 + r0, c2 + c0))
+        return lookup(local[cell], local[neighbour])
 
+    # The frontier holds one bit per column: cell (r, c) hands its slot c
+    # to (r + 1, c), and next in slot c + 1 comes (r, c + 1).  By rows that
+    # holds in reading order.  By diagonals the cells go by ascending r + c
+    # and, within a diagonal, ascending r, so (r - 1, c + 1) has already
+    # handed slot c + 1 to (r, c + 1).
+    if order < 2:
+        positions = ((r, c) for r in range(height) for c in range(width))
+    else:
+        positions = (
+            (r, d - r)
+            for d in range(height + width - 1)
+            for r in range(max(0, d - width + 1), min(d + 1, height))
+        )
     # One step per in-region cell: a cell outside the region never has its
     # frontier bit set, so sweeping it would copy the states unchanged.
     steps = [
-        (c, weight(r, c, r + 1, c), weight(r, c, r, c + 1))
-        for r in range(height)
-        for c in range(width)
+        (c, weight((r, c), (r + 1, c)), weight((r, c), (r, c + 1)))
+        for r, c in positions
         if (r, c) in local
     ]
     scale = math.lcm(*(w.denominator for _, down, right in steps for w in (down, right)))

@@ -78,6 +78,16 @@ class TestNumericAndTrace:
         assert code == 1
         assert "IndeterminateForm" in err
 
+    def test_indeterminate_form_names_the_window_and_l(self, capsys):
+        # The window's lambda-determinant is 1 + l: zero at l = -1 only.
+        code, out, err = run(
+            capsys, "det-numeric", "--size-from", "ones:4", "--lam", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "the 2-by-2 window at (2, 2) is zero for every t at l = -1" in err
+        assert "identically zero" not in err
+
     def test_indeterminate_step_resolves_to_the_exact_limit(self, capsys):
         code, out, _ = run(
             capsys, "det-numeric", "--size-from", "diamond:even:4", "--lam", "-2"
@@ -91,6 +101,17 @@ class TestNumericAndTrace:
         assert code == 1
         assert out == ""
         assert err.startswith("error: PoleAtZero: the 3-by-3 window at (1, 1)")
+
+    @pytest.mark.parametrize("command", ["det", "eq2"])
+    def test_symbolic_pole_names_the_matrix(self, command, capsys):
+        matrix = json.dumps({"entries": [[1, 1, 1], [1, 0, 1], [1, 1, 2]]})
+        code, out, err = run(capsys, command, "--matrix", matrix)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            "error: PoleAtZero: the 3-by-3 window at (1, 1) keeps t^-1, "
+            "so it has no t -> 0 limit"
+        )
 
     def test_numeric_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "det-numeric", "--size-from", "mc:1")
@@ -257,6 +278,12 @@ class TestTilingCommands:
         code, out, _ = run(capsys, "tile", "--shape", "rect:2:30")
         assert code == 0
         assert "tilings: 1346269" in out
+
+    def test_aztec_diamond_is_swept_by_diagonals(self, capsys):
+        # 28 cells wide by rows, beyond MAX_PROFILE_WIDTH; 15 by diagonals.
+        code, out, _ = run(capsys, "tile", "--shape", "aztec:14")
+        assert code == 0
+        assert out.splitlines() == ["cells: 420", "tilings: %d" % 2**105]
 
     def test_square_too_wide_both_ways_is_refused(self, capsys):
         code, _, err = run(capsys, "tile", "--shape", "square:25")

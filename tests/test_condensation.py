@@ -23,7 +23,7 @@ from lambdadet.errors import (
     SizeMismatch,
     ZeroMinor,
 )
-from lambdadet.laurent import ONE_PLUS_LAM, LaurentPoly
+from lambdadet.laurent import LAM, ONE_PLUS_LAM, LaurentPoly
 from lambdadet.matrices import (
     PolyMatrix,
     center_perturbed,
@@ -380,11 +380,27 @@ class TestIntegerScaledCondensation:
 
 class TestFailureModes:
     def test_zero_minor_stops_symbolic_condensation(self):
-        # The order-3 diamond happens to keep its zeros off the divisor
-        # positions; order 4 is the first where condensation hits one.
+        # The abstract's first claim.  Up to order 3 the diamond keeps its
+        # zeros off the divisor positions, and plain condensation gives the
+        # perturbed limit.  Order 4 is the first where condensation hits
+        # one: the 3-by-3 window at (1, 1) is 0/0, as its divisor, entry
+        # (2, 2), is 0 and so is its numerator.
         assert symbolic_pyramid(diamond_even(3)).top.eval_at(1) == 6728
-        with pytest.raises(ZeroMinor):
-            symbolic_pyramid(diamond_even(4))
+        for n in (1, 2, 3):
+            matrix = diamond_even(n)
+            assert symbolic_pyramid(matrix).top == perturbed_det(matrix).limit
+        matrix = diamond_even(4)
+        with pytest.raises(ZeroMinor, match=r"1-by-1 window at \(2, 2\)") as caught:
+            symbolic_pyramid(matrix)
+        assert caught.value.window == (1, 2, 2)
+        assert matrix.entry(2, 2).is_zero()
+
+        def two_by_two(i, j):
+            a = matrix.entry
+            return a(i, j) * a(i + 1, j + 1) + LAM * a(i, j + 1) * a(i + 1, j)
+
+        nw, ne, sw, se = (two_by_two(i, j) for i in (1, 2) for j in (1, 2))
+        assert (nw * se + LAM * ne * sw).is_zero()
 
     def test_numeric_indeterminate_and_convention(self):
         with pytest.raises(IndeterminateForm):

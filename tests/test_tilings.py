@@ -235,6 +235,131 @@ class TestIntegerStateSweep:
         assert matching_sum(region, weights) == matching_sum_brute(region, weights)
 
 
+def reflected(cells, weights, flip):
+    """The region and its weights with every cell moved by flip."""
+    return (
+        frozenset(map(flip, cells)),
+        {edge_key(flip(a), flip(b)): w for (a, b), w in weights.items()},
+    )
+
+
+def transposed(cells, weights):
+    """The region and its weights reflected in the main diagonal."""
+    return reflected(cells, weights, lambda cell: (cell[1], cell[0]))
+
+
+def mirrored(cells, weights):
+    """The region and its weights reflected left to right."""
+    right = max(c for _, c in cells) + 1
+    return reflected(cells, weights, lambda cell: (cell[0], right - cell[1]))
+
+
+def band(side, width, anti=False):
+    """Cells of the side-by-side square with |r - c| <= width, or with
+    |r + c - side - 1| <= width for anti."""
+    return frozenset(
+        (r, c)
+        for r in range(1, side + 1)
+        for c in range(1, side + 1)
+        if abs(r + c - side - 1 if anti else r - c) <= width
+    )
+
+
+def random_dominoes(cells, rng):
+    """A union of disjoint random dominoes inside cells: ragged, but tileable."""
+    edges = region_edges(cells)
+    rng.shuffle(edges)
+    chosen: set = set()
+    for a, b in edges:
+        if a not in chosen and b not in chosen and rng.random() < 0.8:
+            chosen |= {a, b}
+    return frozenset(chosen)
+
+
+# Regions of at most 60 cells whose narrowest sweep order is, in turn,
+# rows (frontier bounds: rows 3, columns 8, diagonals 6, anti-diagonals
+# 6), columns, diagonals (the order-4 Aztec diamond: 8, 8, 5, 5, a tie
+# that keeps diagonals; the ragged |r - c| band: 14, 14, 3, 14) and
+# anti-diagonals (the order-4 diamond with a tail at its west tip: 8, 8,
+# 6, 5; the ragged |r + c - 15| band: 14, 14, 14, 3).
+ORDER_SHAPES = {
+    "rows": rectangle_region(8, 3),
+    "columns": rectangle_region(3, 8),
+    "diagonals": aztec_region(4),
+    "diagonal band": random_dominoes(band(14, 2), Random(0)),
+    "anti-diagonals": aztec_region(4) | {(6, 1), (7, 1)},
+    "anti-diagonal band": random_dominoes(band(14, 2, anti=True), Random(0)),
+}
+
+
+def nonzero_weights(cells, rng):
+    """A distinct nonzero rational weight per edge, negatives included."""
+    return {
+        edge: Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 9))
+        for edge in region_edges(cells)
+    }
+
+
+def with_zeros(weights, rng):
+    """The same weights with about a third of the edges set to 0."""
+    return {edge: 0 if rng.random() < 0.35 else w for edge, w in weights.items()}
+
+
+class TestSweepOrders:
+    """Each of the four cell orders, held to brute force and to the
+    symmetries of the square grid."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_SHAPES))
+    def test_weighted_sum_matches_brute(self, name):
+        cells = ORDER_SHAPES[name]
+        assert len(cells) <= 60
+        rng = Random(sorted(ORDER_SHAPES).index(name) + 416)
+        assert matching_sum(cells) == matching_sum_brute(cells) > 0
+        for _ in range(3):
+            weights = nonzero_weights(cells, rng)
+            value = matching_sum(cells, weights)
+            assert value == matching_sum_brute(cells, weights) != 0
+            zeroed = with_zeros(weights, rng)
+            assert matching_sum(cells, zeroed) == matching_sum_brute(cells, zeroed)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_SHAPES))
+    def test_transposing_or_mirroring_keeps_the_sum(self, name):
+        cells = ORDER_SHAPES[name]
+        weights = nonzero_weights(cells, Random(sorted(ORDER_SHAPES).index(name)))
+        value = matching_sum(cells, weights)
+        for transform in (transposed, mirrored):
+            assert matching_sum(*transform(cells, weights)) == value
+        assert matching_sum(*transposed(*mirrored(cells, weights))) == value
+
+    def test_regions_only_one_order_fits(self):
+        # Each region is wider than MAX_PROFILE_WIDTH in three of the four
+        # orders, so each is counted in the one order that fits.
+        def strip(n):  # tilings of the 3-by-2n rectangle
+            a, b = 1, 3
+            for _ in range(n - 1):
+                a, b = b, 4 * b - a
+            return b
+
+        assert count_tilings(rectangle_region(60, 3)) == strip(30)
+        assert count_tilings(rectangle_region(3, 60)) == strip(30)
+        ragged = random_dominoes(band(40, 2), Random(421))
+        weights = nonzero_weights(ragged, Random(422))
+        value = matching_sum(ragged, weights)
+        assert value != 0
+        assert matching_sum(*mirrored(ragged, weights)) == value
+        assert matching_sum(*transposed(*mirrored(ragged, weights))) == value
+
+    def test_forty_square_band_is_accepted(self):
+        # Its bounding box is 40 wide both ways; its diagonal frontier is 3.
+        # |r - c| <= 2 has 116 cells of one colour and 78 of the other.
+        assert count_tilings(band(40, 2)) == 0
+        assert count_tilings(band(40, 2, anti=True)) == 0
+
+    def test_aztec_order_beyond_the_row_frontier(self):
+        # 26 cells wide by rows, 14 by diagonals.
+        assert count_tilings(aztec_region(13)) == aztec_count_formula(13)
+
+
 class TestWindowRegions:
     def test_trimmed_diamond_is_a_translated_square(self):
         for n in range(1, 5):
@@ -336,7 +461,7 @@ class TestGuards:
         assert matching_sum(rectangle_region(2, 30)) == 1346269
 
     def test_region_wide_both_ways_is_refused(self):
-        with pytest.raises(WidthExceeded, match="shorter side"):
+        with pytest.raises(WidthExceeded, match="frontier of 25 cells"):
             matching_sum(square_region(25))
 
     def test_brute_force_cell_cap(self):

@@ -8,8 +8,10 @@ layer k is an (n-k+1)-by-(n-k+1) grid whose (i, j) entry (1-based) is the
 lambda-determinant of the window with top left corner (i, j).
 
 One driver, _condense, runs the recurrence over the exact ring, with l
-as a variable or fixed at a value.  Divisions must be exact there, and a
-divisor that is identically zero stops the recurrence (ZeroMinor).
+as a variable or fixed at a value, and yields each layer as it is
+completed.  Divisions must be exact there, and a divisor that is
+identically zero stops the recurrence (ZeroMinor).  symbolic_pyramid
+collects the layers; numeric_pyramid limits each one as it arrives.
 
 The numeric engine is the same pipeline at a fixed rational l: it
 replaces each zero entry by t, condenses over Q[t, 1/t] and lets t -> 0
@@ -21,10 +23,12 @@ perturbing zeros did not resolve, reported as IndeterminateForm.  A
 divisor that vanishes only at t = 0 (an x/0 step of the unperturbed
 recurrence) leaves a negative t-power in its window's value, which has
 no limit and is reported as PoleAtZero with the first such window and
-the value of l.  Limits are taken once the recurrence is complete, so
-when a later divisor vanishes for every t, that 0/0 is reported instead
-of the pole.  At l = 0 a window's lambda-determinant is its diagonal
-product, which no perturbed matrix makes zero, so l = 0 never fails.
+the value of l.  Each layer is limited before the next one runs, so the
+first failing layer is the one reported: a pole in a layer before the
+first unresolved 0/0 wins, and within the 0/0's own layer the 0/0 is
+reported, because it stops that layer before the layer is limited.  At
+l = 0 a window's lambda-determinant is its diagonal product, which no
+perturbed matrix makes zero, so l = 0 never fails.
 
 perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
 by t, runs an engine (condensation, or the sum over alternating-sign
@@ -44,7 +48,7 @@ divisions run over Z whatever the entries' coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import IndeterminateForm, PoleAtZero, ZeroMinor
 from .laurent import LAM, LaurentPoly, Rational
@@ -90,14 +94,15 @@ def _pole(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> PoleAt
     )
 
 
-def _condense(base: Sequence[Sequence[object]], lam, symmetric: bool) -> Pyramid:
+def _condense(
+    base: Sequence[Sequence[object]], lam, symmetric: bool
+) -> Iterator[tuple[tuple[object, ...], ...]]:
+    """Yield the layers of base's pyramid in order, each once it is complete."""
     n = len(base)
-    layers: list[tuple[tuple[object, ...], ...]] = [
-        tuple(tuple(row) for row in base)
-    ]
+    below = None
+    prev = tuple(tuple(row) for row in base)
+    yield prev
     for k in range(2, n + 1):
-        prev = layers[-1]
-        below = layers[-2] if k >= 3 else None
         span = n - k + 1
         grid: list[list[object]] = [[None] * span for _ in range(span)]
         for i in range(span):
@@ -120,14 +125,14 @@ def _condense(base: Sequence[Sequence[object]], lam, symmetric: bool) -> Pyramid
                 grid[i][j] = value
                 if symmetric and j != i:
                     grid[j][i] = value
-        layers.append(tuple(tuple(row) for row in grid))
-    return Pyramid(tuple(layers))
+        below, prev = prev, tuple(tuple(row) for row in grid)
+        yield prev
 
 
 def symbolic_pyramid(matrix: PolyMatrix, lam: LaurentPoly = LAM) -> Pyramid:
     """Full pyramid over the exact ring, with l as a variable or, given
     lam, at that fixed value of l."""
-    return _condense(matrix.rows, lam, matrix.is_symmetric())
+    return Pyramid(tuple(_condense(matrix.rows, lam, matrix.is_symmetric())))
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
@@ -141,37 +146,39 @@ _KEEP_L_SYMBOLIC = "`lambdadet det --eval` keeps l symbolic"
 def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
     """Pyramid of exact rational values at a fixed l.
 
-    Every zero entry is perturbed to t, the recurrence runs over Q[t, 1/t]
-    at this l, and each entry is its t -> 0 limit.  A window whose value
-    keeps a negative t-power raises PoleAtZero; a divisor that vanishes
-    for every t raises IndeterminateForm.  Non-constant entries raise
-    SizeMismatch.
+    Every zero entry is perturbed to t and the recurrence runs over
+    Q[t, 1/t] at this l.  Each layer is replaced by its entries' t -> 0
+    limits as soon as it is complete, before the next layer runs.  A
+    window whose value keeps a negative t-power raises PoleAtZero; a
+    divisor that vanishes for every t raises IndeterminateForm.  So a pole
+    in a layer before the first unresolved 0/0 is reported, and a pole in
+    the 0/0's own layer is not: the 0/0 stops that layer first.
+    Non-constant entries raise SizeMismatch.
     """
     matrix.constant_entries()  # SizeMismatch unless every entry is constant
-    try:
-        perturbed = symbolic_pyramid(
-            matrix.perturb_zeros(), LaurentPoly.const(lam_value)
-        )
-    except ZeroMinor as exc:
-        raise IndeterminateForm(
-            "0/0 with zeros perturbed to t: %s is zero for every t at l = %s; %s"
-            % (_window(*exc.window), lam_value, _KEEP_L_SYMBOLIC)
-        ) from exc
+    perturbed = matrix.perturb_zeros()
+    at_l = " at l = %s" % lam_value
 
     def limit(value, k: int, i: int, j: int):
         if value.min_t_exp() < 0:
-            raise _pole(value, k, i, j, " at l = %s" % lam_value)
+            raise _pole(value, k, i, j, at_l)
         return value.limit_t0().eval_at(lam_value)
 
-    return Pyramid(
-        tuple(
-            tuple(
+    layers = []
+    try:
+        for k, layer in enumerate(
+            _condense(perturbed.rows, LaurentPoly.const(lam_value), perturbed.is_symmetric()), 1
+        ):
+            layers.append(tuple(
                 tuple(limit(value, k, i, j) for j, value in enumerate(row, 1))
                 for i, row in enumerate(layer, 1)
-            )
-            for k, layer in enumerate(perturbed.layers, 1)
-        )
-    )
+            ))
+    except ZeroMinor as exc:
+        raise IndeterminateForm(
+            "0/0 with zeros perturbed to t: %s is zero for every t%s; %s"
+            % (_window(*exc.window), at_l, _KEEP_L_SYMBOLIC)
+        ) from exc
+    return Pyramid(tuple(layers))
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,6 @@ class ReproductionSession:
             self._even_pyramids[n] = symbolic_pyramid(perturbed)
         return self._even_pyramids[n]
 
-    def even_det(self, n: int) -> LaurentPoly:
-        return self.even_pyramid(n).top
-
     def rng(self) -> Random:
         return Random(self.seed)
 
@@ -92,7 +89,7 @@ def check_all_ones(session: ReproductionSession) -> tuple[bool, str]:
 
 
 def check_diamond_8x8(session: ReproductionSession) -> tuple[bool, str]:
-    det = session.even_det(4)
+    det = session.even_pyramid(4).top
     limit = det.limit_t0()
     value = limit.eval_at(1)
     facts = (det.term_count, limit.term_count, value)
@@ -141,7 +138,7 @@ def check_square_agreement(session: ReproductionSession) -> tuple[bool, str]:
     for n in range(1, 7):
         oracle = count_tilings(square_region(2 * n))
         numeric = numeric_pyramid(diamond_even(n), 1).top
-        via_limit = session.even_det(n).limit_t0().eval_at(1)
+        via_limit = session.even_pyramid(n).top.limit_t0().eval_at(1)
         if not (oracle == numeric == via_limit):
             return False, "n=%d: oracle %s, numeric %s, symbolic %s" % (
                 n, oracle, numeric, via_limit,
@@ -178,7 +175,7 @@ def check_aztec_counts(session: ReproductionSession) -> tuple[bool, str]:
 def check_engines_agree(session: ReproductionSession) -> tuple[bool, str]:
     for n in (1, 2, 3, 4):
         matrix = diamond_even(n).perturb_zeros()
-        if session.even_det(n) != lambda_det_sum(matrix):
+        if session.even_pyramid(n).top != lambda_det_sum(matrix):
             return False, "diamond of size %d disagrees" % (2 * n)
     rng = session.rng()
     for trial in range(100):

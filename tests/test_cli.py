@@ -102,6 +102,19 @@ class TestNumericAndTrace:
         assert out == ""
         assert err.startswith("error: PoleAtZero: the 3-by-3 window at (1, 1)")
 
+    def test_pole_is_not_reported_as_a_later_zero_over_zero(self, capsys):
+        matrix = json.dumps({"entries": [
+            [0, 3, 1, 0, 1], [2, 3, 0, 1, 1], [0, 2, 1, 1, 0],
+            [-1, 2, 2, 0, 0], [0, 1, -1, 0, 2],
+        ]})
+        code, out, err = run(capsys, "det-numeric", "--matrix", matrix, "--lam", "-2")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            "error: PoleAtZero: the 3-by-3 window at (1, 2) keeps t^-1 at l = -2, "
+            "so it has no t -> 0 limit"
+        )
+
     @pytest.mark.parametrize("command", ["det", "eq2"])
     def test_symbolic_pole_names_the_matrix(self, command, capsys):
         matrix = json.dumps({"entries": [[1, 1, 1], [1, 0, 1], [1, 1, 2]]})

@@ -207,8 +207,9 @@ class TestPerturbationPipeline:
 
 
 class TestNumericZeroOverZero:
-    """A 0/0 in a matrix with zeros reruns the perturbed recurrence at the
-    given l; the oracle is the bivariate pipeline evaluated after t -> 0."""
+    """A matrix with zeros is condensed with its zeros perturbed to t at the
+    given l and limited layer by layer; the oracle is the bivariate pipeline
+    evaluated after t -> 0."""
 
     def test_entries_equal_the_symbolic_limit(self):
         for matrix in [diamond_even(n) for n in (1, 2, 3, 4)] + [
@@ -227,11 +228,10 @@ class TestNumericZeroOverZero:
     def test_agrees_with_plain_condensation(self):
         # Where plain Fraction condensation never divides by zero, the
         # perturbed pipeline gives its layers exactly.  Where it meets x/0,
-        # that window's value keeps a pole in t, unless a later divisor of
-        # the perturbed recurrence vanishes for every t (seen here as a zero
-        # divisor of plain condensation with every zero set to t = 1/7919).
+        # that window's value keeps a pole in t, and every earlier layer has
+        # a limit, so that window is the one reported.
         rng = Random(410)
-        outcomes = {"layers": 0, "pole": 0, "0/0 after x/0": 0, "0/0": 0}
+        outcomes = {"layers": 0, "pole": 0, "0/0": 0}
         for _ in range(150):
             n = rng.randint(3, 5)
             rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
@@ -244,14 +244,6 @@ class TestNumericZeroOverZero:
                     if numerator == 0:
                         outcomes["0/0"] += 1
                         continue
-                    try:
-                        at_t = [[v or Fraction(1, 7919) for v in row] for row in rows]
-                        plain_condensation(at_t, Fraction(lam))
-                    except ZeroDivisionError:
-                        outcomes["0/0 after x/0"] += 1
-                        with pytest.raises(IndeterminateForm):
-                            numeric_pyramid(matrix, lam)
-                        continue
                     outcomes["pole"] += 1
                     window = r"the %d-by-%d window at \(%d, %d\)" % (k, k, i, j)
                     with pytest.raises(PoleAtZero, match=window):
@@ -261,6 +253,20 @@ class TestNumericZeroOverZero:
                 pyramid = numeric_pyramid(matrix, lam)
                 assert [[list(row) for row in layer] for layer in pyramid.layers] == expected
         assert min(outcomes.values()) > 0, outcomes
+
+    def test_pole_before_a_later_zero_over_zero_is_reported(self):
+        # Layer 4 divides by the 2-by-2 window at (3, 2), which is zero for
+        # every t at l = -2, but layer 3 already keeps a pole at (1, 3).
+        matrix = PolyMatrix.from_rows([
+            [1, 2, 0, -1, 2], [0, 0, 3, 0, 3], [2, 2, 1, 1, 2],
+            [-1, -1, -1, -1, -1], [-1, -1, 3, 2, 2],
+        ])
+        with pytest.raises(ZeroMinor) as caught:
+            symbolic_pyramid(matrix.perturb_zeros(), LaurentPoly.const(-2))
+        assert caught.value.window == (2, 3, 2)
+        pole = r"the 3-by-3 window at \(1, 3\) keeps t\^-1 at l = -2"
+        with pytest.raises(PoleAtZero, match=pole):
+            numeric_pyramid(matrix, -2)
 
     def test_exact_limits_at_minus_two(self):
         assert numeric_pyramid(diamond_even(4), -2).top == -1313216

@@ -34,9 +34,16 @@ perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
 by t, runs an engine (condensation, or the sum over alternating-sign
 matrices) and lets t -> 0.
 
-A matrix and its transpose share the same pyramid up to reflection, so
-for symmetric input each layer is computed above the diagonal only and
-mirrored.
+A matrix and its transpose share the same pyramid up to reflection.  So
+does a matrix and its half-turn (i, j) -> (n+1-i, n+1-j): the turn swaps
+nw with se and ne with sw, which leaves nw*se + l*ne*sw unchanged, so the
+window at (i, j) of the turned matrix has the value of the window at
+(span+1-i, span+1-j) of the matrix.  For input equal to its transpose
+(symmetric) or to its half-turn (centrosymmetric), as every diamond is,
+each layer is computed once per orbit of those symmetries, the first
+window of each orbit in reading order, and copied to the others.  A
+zero divisor is met at the same window as without the shortcut: the
+divisors of an orbit are equal, and its first window comes first.
 
 An ASM's -1 entries put inverses of entries into a window's value, so a
 monomial entry c*t^e with |c| > 1 gives it 1/c coefficients.  The ring
@@ -48,7 +55,7 @@ divisions run over Z whatever the entries' coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .errors import IndeterminateForm, PoleAtZero, ZeroMinor
 from .laurent import LAM, LaurentPoly, Rational
@@ -94,19 +101,24 @@ def _pole(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> PoleAt
     )
 
 
-def _condense(
-    base: Sequence[Sequence[object]], lam, symmetric: bool
-) -> Iterator[tuple[tuple[object, ...], ...]]:
-    """Yield the layers of base's pyramid in order, each once it is complete."""
-    n = len(base)
+def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...]]:
+    """Yield the layers of matrix's pyramid in order, each once it is complete.
+
+    Each window is computed once per orbit of the matrix's symmetries
+    (transpose, half-turn) and copied to the rest of its orbit."""
+    symmetric, centrosymmetric = matrix.is_symmetric(), matrix.is_centrosymmetric()
+    n = matrix.size
     below = None
-    prev = tuple(tuple(row) for row in base)
+    prev = matrix.rows
     yield prev
     for k in range(2, n + 1):
         span = n - k + 1
+        last = span - 1
         grid: list[list[object]] = [[None] * span for _ in range(span)]
         for i in range(span):
-            for j in range(i if symmetric else 0, span):
+            for j in range(span):
+                if grid[i][j] is not None:
+                    continue
                 numerator = (
                     prev[i][j] * prev[i + 1][j + 1] + lam * prev[i][j + 1] * prev[i + 1][j]
                 )
@@ -123,8 +135,12 @@ def _condense(
                         )
                     value = numerator.exact_div(divisor)
                 grid[i][j] = value
-                if symmetric and j != i:
+                if symmetric:
                     grid[j][i] = value
+                if centrosymmetric:
+                    grid[last - i][last - j] = value
+                    if symmetric:
+                        grid[last - j][last - i] = value
         below, prev = prev, tuple(tuple(row) for row in grid)
         yield prev
 
@@ -132,7 +148,7 @@ def _condense(
 def symbolic_pyramid(matrix: PolyMatrix, lam: LaurentPoly = LAM) -> Pyramid:
     """Full pyramid over the exact ring, with l as a variable or, given
     lam, at that fixed value of l."""
-    return Pyramid(tuple(_condense(matrix.rows, lam, matrix.is_symmetric())))
+    return Pyramid(tuple(_condense(matrix, lam)))
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
@@ -166,9 +182,7 @@ def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
 
     layers = []
     try:
-        for k, layer in enumerate(
-            _condense(perturbed.rows, LaurentPoly.const(lam_value), perturbed.is_symmetric()), 1
-        ):
+        for k, layer in enumerate(_condense(perturbed, LaurentPoly.const(lam_value)), 1):
             layers.append(tuple(
                 tuple(limit(value, k, i, j) for j, value in enumerate(row, 1))
                 for i, row in enumerate(layer, 1)

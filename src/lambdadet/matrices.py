@@ -56,6 +56,10 @@ class PolyMatrix:
             for j in range(i + 1, self.size)
         )
 
+    def is_centrosymmetric(self) -> bool:
+        """True if the matrix equals its 180-degree turn."""
+        return self.rows == tuple(row[::-1] for row in self.rows[::-1])
+
     def has_zero_entry(self) -> bool:
         return any(cell.is_zero() for row in self.rows for cell in row)
 

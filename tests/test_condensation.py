@@ -184,6 +184,117 @@ class TestTransposeInvariance:
                     assert pyramid.value(k, i, j) == pyramid.value(k, j, i)
 
 
+class TestHalfTurnInvariance:
+    def test_symbolic_pyramid_of_half_turn_is_turned(self):
+        # Neither matrix is symmetric or centrosymmetric, so both pyramids
+        # are computed window by window, with no shortcut.
+        rng = Random(417)
+        for n in (3, 4, 5, 6):
+            matrix = mixed_monomial_matrix(n, rng)
+            turned = PolyMatrix(tuple(row[::-1] for row in matrix.rows[::-1]))
+            for m in (matrix, turned):
+                assert not m.is_symmetric() and not m.is_centrosymmetric()
+            pyramid = symbolic_pyramid(matrix)
+            turned_pyramid = symbolic_pyramid(turned)
+            for k in range(1, n + 1):
+                span = n - k + 1
+                for i in range(1, span + 1):
+                    for j in range(1, span + 1):
+                        assert turned_pyramid.value(k, i, j) == pyramid.value(
+                            k, span + 1 - i, span + 1 - j
+                        )
+
+
+def count_divisions(monkeypatch, run) -> int:
+    calls = []
+    exact_div = LaurentPoly.exact_div
+
+    def counting(self, other):
+        calls.append(None)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+class TestOrbitShortcut:
+    """Each window is computed once per orbit of the matrix's symmetries."""
+
+    def test_diamond_divides_once_per_orbit(self, monkeypatch):
+        # Layers 3-12 of a 12-by-12 matrix are s-by-s grids, s = 10..1.
+        # Transpose, half-turn and anti-transpose leave (s^2 + 2s + s % 2) / 4
+        # orbits of windows: 125 divisions, where the upper triangle alone
+        # would take 220.
+        matrix = diamond_even(6).perturb_zeros()
+        assert matrix.is_symmetric() and matrix.is_centrosymmetric()
+        orbits = sum((s * s + 2 * s + s % 2) // 4 for s in range(1, 11))
+        assert orbits == 125
+        assert count_divisions(monkeypatch, lambda: symbolic_pyramid(matrix)) == 125
+
+    def test_matrix_without_symmetry_divides_at_every_window(self, monkeypatch):
+        matrix = random_monomial_matrix(7, Random(8))
+        assert count_divisions(monkeypatch, lambda: lambda_det(matrix)) == 55
+
+    def test_zero_divisor_off_the_centre_is_met_first_in_reading_order(self):
+        # The 2-by-2 window at (2, 3) is [[l, 1], [-1, 1]], whose
+        # lambda-determinant l - l is identically zero; its half-turn, the
+        # window at (4, 3), is zero too.  The 4-by-4 windows at (1, 2) and
+        # (3, 2) divide by them, and (1, 2) comes first in reading order, as
+        # in a scan with no shortcut: changing entry (1, 1), which no
+        # divisor of layers 3-4 contains, leaves a matrix with no symmetry
+        # that fails at the same window.
+        l = LAM
+        rows = [
+            [2, 3, 5, 7, 11, 13],
+            [17, 19, l, 1, 23, 29],
+            [31, 37, -1, 1, 41, 43],
+            [43, 41, 1, -1, 37, 31],
+            [29, 23, 1, l, 19, 17],
+            [13, 11, 7, 5, 3, 2],
+        ]
+        matrix = PolyMatrix.from_rows(rows)
+        assert matrix.is_centrosymmetric() and not matrix.is_symmetric()
+        broken = PolyMatrix.from_rows([[4] + rows[0][1:]] + rows[1:])
+        assert not broken.is_centrosymmetric()
+        for m in (matrix, broken):
+            with pytest.raises(ZeroMinor, match=r"2-by-2 window at \(2, 3\)") as caught:
+                symbolic_pyramid(m)
+            assert caught.value.window == (2, 2, 3)
+
+    def test_first_zero_divisor_matches_plain_condensation(self):
+        # Centrosymmetric-only integer matrices: the first zero divisor in
+        # reading order is the independent Fraction scan's, most of them
+        # off the centre; the rest agree at l = 7919/104729.
+        rng = Random(811)
+        lam = Fraction(7919, 104729)
+        failed = off_centre = agreed = 0
+        for _ in range(40):
+            n = rng.choice((5, 6))
+            rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            matrix = symmetrized(rows, False, True)
+            if matrix.is_symmetric():
+                continue
+            rows = matrix.constant_entries()
+            try:
+                top = plain_condensation(rows, lam)[-1][0][0]
+            except ZeroDivisionError as exc:
+                _numerator, k, i, j = exc.args
+                with pytest.raises(ZeroMinor) as caught:
+                    symbolic_pyramid(matrix)
+                assert caught.value.window == (k - 2, i + 1, j + 1)
+                failed += 1
+                divisor_span = matrix.size - k + 3
+                off_centre += 2 * (i + 1) != divisor_span + 1 or 2 * (j + 1) != divisor_span + 1
+            else:
+                assert symbolic_pyramid(matrix).top.eval_at(lam) == top
+                agreed += 1
+        assert failed and off_centre and agreed
+
+
 class TestPerturbationPipeline:
     def test_polynomiality_of_diamond_pyramids(self):
         for n in (1, 2, 3):
@@ -287,11 +398,32 @@ class TestNumericZeroOverZero:
             numeric_pyramid(matrix, 1)
 
 
-def mixed_monomial_matrix(n: int, rng: Random, symmetric: bool = False) -> PolyMatrix:
+def symmetrized(rows: list[list], symmetric: bool, centrosymmetric: bool) -> PolyMatrix:
+    """The matrix whose (i, j) entry is rows' entry at the first cell of
+    (i, j)'s orbit under the transpose and/or the half-turn."""
+    n = len(rows)
+
+    def first(i: int, j: int) -> tuple[int, int]:
+        cells = {(i, j)}
+        if symmetric:
+            cells |= {(b, a) for a, b in cells}
+        if centrosymmetric:
+            cells |= {(n - 1 - a, n - 1 - b) for a, b in cells}
+        return min(cells)
+
+    return PolyMatrix.from_rows(
+        [[rows[a][b] for a, b in (first(i, j) for j in range(n))] for i in range(n)]
+    )
+
+
+def mixed_monomial_matrix(
+    n: int, rng: Random, symmetric: bool = False, centrosymmetric: bool = False
+) -> PolyMatrix:
     """Monomials c*t^e with c a signed int (unit or not) or a Fraction.
 
     Entries on the outer border may also carry l: no window has them
-    inside, so no ASM term inverts them.
+    inside, so no ASM term inverts them.  symmetric and centrosymmetric
+    copy entries across the diagonal and the centre.
     """
 
     def entry(i: int, j: int) -> LaurentPoly:
@@ -308,9 +440,7 @@ def mixed_monomial_matrix(n: int, rng: Random, symmetric: bool = False) -> PolyM
         return LaurentPoly.monomial(coeff, l_exp, rng.randint(-1, 2))
 
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
-    if symmetric:
-        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return PolyMatrix(tuple(tuple(row) for row in rows))
+    return symmetrized(rows, symmetric, centrosymmetric)
 
 
 class TestIntegerScaledCondensation:
@@ -322,6 +452,10 @@ class TestIntegerScaledCondensation:
         rng = Random(707)
         matrices = [mixed_monomial_matrix(n, rng) for n in (3, 4, 4, 5, 5, 6)]
         matrices.append(mixed_monomial_matrix(5, rng, symmetric=True))
+        matrices.append(mixed_monomial_matrix(5, rng, centrosymmetric=True))
+        matrices.append(mixed_monomial_matrix(6, rng, symmetric=True, centrosymmetric=True))
+        assert matrices[-2].is_centrosymmetric() and not matrices[-2].is_symmetric()
+        assert matrices[-1].is_centrosymmetric() and matrices[-1].is_symmetric()
         for matrix in matrices:
             pyramid = symbolic_pyramid(matrix)
             n = matrix.size

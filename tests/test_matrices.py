@@ -63,6 +63,19 @@ class TestPolyMatrix:
         assert not matrix.is_symmetric()
         assert diamond_even(3).is_symmetric()
 
+    def test_centrosymmetry(self):
+        families = [diamond_even(n) for n in (1, 2, 3)]
+        families += [diamond_odd(n) for n in (0, 1, 2)]
+        families += [ones_matrix(4), center_perturbed(Fraction(1, 2))]
+        for matrix in families:
+            assert matrix.is_centrosymmetric()
+            assert matrix.perturb_zeros().is_centrosymmetric()
+        assert not random_monomial_matrix(5, Random(1)).is_centrosymmetric()
+        turned_only = PolyMatrix.from_rows([[1, 2, 3], [4, 5, 4], [3, 2, 1]])
+        assert turned_only.is_centrosymmetric()
+        assert not turned_only.is_symmetric()
+        assert not PolyMatrix.from_rows([[1, 2], [2, 3]]).is_centrosymmetric()
+
     def test_perturb_zeros(self):
         matrix = diamond_even(2)
         assert matrix.has_zero_entry()

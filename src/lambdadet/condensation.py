@@ -9,8 +9,10 @@ lambda-determinant of the window with top left corner (i, j).
 
 One driver, _condense, runs the recurrence over the exact ring, with l
 as a variable or fixed at a value, and yields each layer as it is
-completed.  Divisions must be exact there, and a divisor that is
-identically zero stops the recurrence (ZeroMinor).  symbolic_pyramid
+completed.  Divisions must be exact there: a divisor that is
+identically zero stops the recurrence (ZeroMinor), and so does a
+quotient the ring cannot hold, such as a negative power of l
+(InexactDivision, naming the window and its divisor).  symbolic_pyramid
 collects the layers; numeric_pyramid limits each one as it arrives.
 
 The numeric engine is the same pipeline at a fixed rational l: it
@@ -57,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import IndeterminateForm, PoleAtZero, ZeroMinor
+from .errors import IndeterminateForm, InexactDivision, PoleAtZero, ZeroMinor
 from .laurent import LAM, LaurentPoly, Rational
 from .matrices import PolyMatrix
 
@@ -133,7 +135,13 @@ def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...
                             "condensation cannot divide by it" % _window(*window),
                             window,
                         )
-                    value = numerator.exact_div(divisor)
+                    try:
+                        value = numerator.exact_div(divisor)
+                    except InexactDivision as exc:
+                        raise InexactDivision(
+                            "computing %s, the division by %s is inexact: %s"
+                            % (_window(k, i + 1, j + 1), _window(k - 2, i + 2, j + 2), exc)
+                        ) from exc
                 grid[i][j] = value
                 if symmetric:
                     grid[j][i] = value

@@ -12,7 +12,10 @@ going by rows, columns, diagonals or anti-diagonals, whichever keeps the
 frontier narrowest.  Its work is states x in-region cells, on int states
 (rational weights are cleared of denominators first), and it is fine
 while that frontier is at most 24 cells: 24 for a square of side 24, and
-n + 1 for the Aztec diamond of order n, which goes by diagonals.
+n + 1 for the Aztec diamond of order n, which goes by diagonals.  An
+unweighted region swept by rows or columns that equals its mirror image
+across the middle row of its sweep sweeps only its top half and joins
+the two halves at the middle cut, which takes about half the work.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the
 sweep.  The Aztec-diamond families, their four-fold overlapping
@@ -120,6 +123,20 @@ def matching_sum(
     first scaled by D, the lcm of their denominators: the sweep then
     carries ints only, and the sum is sweep(D * w) / D ** (len(cells) // 2).
     Edges outside the region are ignored and do not enter D.
+
+    Half-sweep.  When weights is None, the order is rows or columns, and
+    the region, in the local coordinates of that sweep (H rows), equals
+    its mirror image r -> H - 1 - r, the sweep of the bottom rows is the
+    mirror of the sweep of the top ones.  So only the cells of rows
+    < ceil(H / 2) are swept, in the same order.  Let A be the states after
+    the rows < H // 2 and B those after the rows < ceil(H / 2): A[mask]
+    counts the tilings of the top rows whose vertical dominoes cross the
+    middle cut at the columns in mask, and B[mask], read in the mirror,
+    counts the tilings of the rest that meet them there.  The count is
+
+        sum over mask of A[mask] * B[mask]
+
+    (B is A when H is even; when H is odd, B adds the middle row).
     """
     if not cells:
         return 1
@@ -183,7 +200,30 @@ def matching_sum(
         if (r, c) in local
     ]
     scale = math.lcm(*(w.denominator for _, down, right in steps for w in (down, right)))
-    states: dict[int, int] = {0: 1}
+    if weights is None and order < 2 and all((height - 1 - r, c) in local for r, c in local):
+        # Mirror-symmetric by rows: sweep the top half only (top is A and
+        # middle is B above).  The cells of rows < height // 2 come first
+        # in the steps; by the mirror, rows >= ceil(height / 2) hold as
+        # many cells as they do.
+        cut = sum(r < height // 2 for r, _ in local)
+        top = _sweep({0: 1}, steps[:cut], scale)
+        middle = _sweep(top, steps[cut : len(steps) - cut], scale)
+        return sum(count * middle.get(mask, 0) for mask, count in top.items())
+    total = _sweep({0: 1}, steps, scale).get(0, 0)
+    if scale == 1:
+        return total
+    value = Fraction(total, scale ** (len(cells) // 2))
+    return value.numerator if value.denominator == 1 else value
+
+
+def _sweep(
+    states: dict[int, int], steps: list[tuple[int, Rational, Rational]], scale: int
+) -> dict[int, int]:
+    """Carry the profile states through the steps (empty once none is left).
+
+    A state is a mask of the frontier slots already covered, mapped to
+    the weighted number of partial matchings that reach it; each step
+    (slot, down weight, right weight) is one cell."""
     for c, down, right in steps:
         bit = 1 << c
         next_bit = bit << 1
@@ -204,12 +244,8 @@ def matching_sum(
                 new[beside] = get(beside, 0) + acc * right
         states = new
         if not states:
-            return 0
-    total = states.get(0, 0)
-    if scale == 1:
-        return total
-    value = Fraction(total, scale ** (len(cells) // 2))
-    return value.numerator if value.denominator == 1 else value
+            break
+    return states
 
 
 def count_tilings(cells: Region) -> int:

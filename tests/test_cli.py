@@ -126,6 +126,26 @@ class TestNumericAndTrace:
             "so it has no t -> 0 limit"
         )
 
+    def test_inexact_division_names_the_window_and_its_divisor(self, capsys):
+        # The l-entries on the diagonal leave the ring: the top window's
+        # quotient would need a negative power of l.
+        matrix = json.dumps({"size": 4, "entries": [
+            ["1*l^1", "1/2", 0, "1/2"], ["1/2", "1*l^1", -1, 2],
+            [-1, -1, "1*l^1", -1], [2, "1/2", 2, 1],
+        ]})
+        code, out, err = run(capsys, "det", "--matrix", matrix)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            "error: InexactDivision: computing the 4-by-4 window at (1, 1), the "
+            "division by the 2-by-2 window at (2, 2) is inexact: nonzero "
+            "remainder at t-slice 0 of 2"
+        )
+        code, out, err = run(capsys, "eq2", "--matrix", matrix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: NonMonomialEntry: ")
+
     def test_numeric_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "det-numeric", "--size-from", "mc:1")
         assert code == 1

@@ -19,6 +19,7 @@ from lambdadet.condensation import (
 )
 from lambdadet.errors import (
     IndeterminateForm,
+    InexactDivision,
     PoleAtZero,
     SizeMismatch,
     ZeroMinor,
@@ -516,6 +517,18 @@ class TestIntegerScaledCondensation:
             r"lambda-determinant, so condensation cannot divide by it$",
         ):
             symbolic_pyramid(matrix)
+
+
+    def test_inexact_division_names_the_window_and_its_divisor(self):
+        # 2 + l does not divide the 3-by-3 numerator in Q[l].
+        matrix = PolyMatrix.from_rows([[1, 1, 1], [1, LAM + 2, 1], [1, 1, 1]])
+        with pytest.raises(
+            InexactDivision,
+            match=r"^computing the 3-by-3 window at \(1, 1\), the division by "
+            r"the 1-by-1 window at \(2, 2\) is inexact: nonzero remainder",
+        ) as caught:
+            symbolic_pyramid(matrix)
+        assert isinstance(caught.value.__cause__, InexactDivision)
 
 
 class TestFailureModes:

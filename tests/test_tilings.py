@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdadet import tilings
 from lambdadet.condensation import numeric_pyramid
 from lambdadet.errors import OrderExceeded, WidthExceeded
 from lambdadet.matrices import diamond_even
@@ -94,6 +95,12 @@ class TestCounting:
     def test_larger_squares_pin_the_sweep(self):
         assert count_tilings(square_region(10)) == 258584046368
         assert count_tilings(square_region(12)) == 53060477521960000
+        assert count_tilings(square_region(14)) == 112202208776036178000000
+        assert count_tilings(square_region(16)) == 2444888770250892795802079170816
+        # An odd local height: the join meets the middle row's sweep.
+        cells = rectangle_region(9, 8)
+        ones = {edge: 1 for edge in region_edges(cells)}
+        assert count_tilings(cells) == matching_sum(cells, ones) > 0
 
     def test_aztec_counts_match_formula(self):
         for n in range(0, 6):
@@ -358,6 +365,143 @@ class TestSweepOrders:
     def test_aztec_order_beyond_the_row_frontier(self):
         # 26 cells wide by rows, 14 by diagonals.
         assert count_tilings(aztec_region(13)) == aztec_count_formula(13)
+
+
+def mirror_flip(height, width, across):
+    """Reflection of the height-by-width box across its middle row
+    (across="rows") or its middle column (across="columns")."""
+    if across == "rows":
+        return lambda cell: (height + 1 - cell[0], cell[1])
+    return lambda cell: (cell[0], width + 1 - cell[1])
+
+
+def mirror_dominoes(height, width, across, rng):
+    """A seeded union of disjoint dominoes in the box, each with its mirror
+    image: ragged, with holes, tileable and mirror-symmetric."""
+    flip = mirror_flip(height, width, across)
+    edges = region_edges(rectangle_region(height, width))
+    rng.shuffle(edges)
+    chosen: set = set()
+    for a, b in edges:
+        pair = {a, b, flip(a), flip(b)}
+        if len(pair) != 3 and not pair & chosen and rng.random() < 0.8:
+            chosen |= pair
+    return frozenset(chosen)
+
+
+def mirror_scatter(height, width, across, rng):
+    """A seeded random subset of the box joined with its mirror image;
+    often untileable."""
+    flip = mirror_flip(height, width, across)
+    cells = {cell for cell in rectangle_region(height, width) if rng.random() < 0.6}
+    return frozenset(cells | set(map(flip, cells)))
+
+
+# (height, width, across): top-bottom mirrors are taller than wide, so they
+# are swept by rows; left-right mirrors are wider than tall, so they are
+# swept by columns.  Both give even and odd local heights.
+MIRROR_BOXES = [
+    (6, 3, "rows"), (7, 3, "rows"), (8, 4, "rows"), (9, 5, "rows"),
+    (12, 7, "rows"), (13, 8, "rows"),
+    (3, 6, "columns"), (3, 7, "columns"), (4, 8, "columns"), (5, 9, "columns"),
+    (7, 12, "columns"), (8, 13, "columns"), (1, 10, "columns"), (1, 11, "columns"),
+]
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """Number of cells each matching_sum call carries its states through."""
+    counts: list[int] = []
+    sweep = tilings._sweep
+
+    def counting(states, steps, scale):
+        counts.append(len(steps))
+        return sweep(states, steps, scale)
+
+    monkeypatch.setattr(tilings, "_sweep", counting)
+    return counts
+
+
+def top_half(cells, across):
+    """Cells before the middle cut: rows < H // 2 or columns < W // 2 of
+    the bounding box (H, W its height and width)."""
+    axis = 0 if across == "rows" else 1
+    values = [cell[axis] for cell in cells]
+    first, extent = min(values), max(values) - min(values) + 1
+    return {cell for cell in cells if cell[axis] - first < extent // 2}
+
+
+class TestMirrorJoin:
+    """Unweighted mirror-symmetric regions swept by rows or columns sweep
+    their top half and join the halves at the middle cut."""
+
+    def check(self, cells, swept, across):
+        """The count of cells, held to the weighted full sweep and, up to 60
+        cells, to brute force.  across names the mirror the sweep halves
+        at ("rows" or "columns"), or is None for a full sweep."""
+        swept.clear()
+        value = matching_sum(cells)
+        expected = len(cells) - len(top_half(cells, across)) if across else len(cells)
+        assert sum(swept) == expected
+        ones = {edge: 1 for edge in region_edges(cells)}
+        swept.clear()
+        assert matching_sum(cells, ones) == value
+        assert sum(swept) == len(cells)
+        if len(cells) <= 60:
+            assert matching_sum_brute(cells) == value
+        return value
+
+    @pytest.mark.parametrize("height, width, across", MIRROR_BOXES)
+    def test_mirror_regions_match_the_full_sweep(self, height, width, across, swept):
+        rng = Random(height * 100 + width)
+        counts = []
+        for _ in range(3):
+            for build in (mirror_dominoes, mirror_scatter):
+                cells = build(height, width, across, rng)
+                counts.append(self.check(cells, swept, across))
+        assert any(counts)
+
+    @pytest.mark.parametrize("height, width, across", MIRROR_BOXES)
+    def test_one_cell_off_the_mirror_takes_the_full_sweep(
+        self, height, width, across, swept
+    ):
+        rng = Random(height * 100 + width + 1)
+        flip = mirror_flip(height, width, across)
+        cells = mirror_dominoes(height, width, across, rng)
+        # A cell off the mirror line, away from the box's edge, so the
+        # bounding box keeps its mirror line.
+        inner = sorted(
+            cell for cell in cells
+            if flip(cell) != cell and 1 < cell[0] < height and 1 < cell[1] < width
+        ) or sorted(cell for cell in cells if flip(cell) != cell)
+        for cell in inner[:: max(1, len(inner) // 3)]:
+            assert self.check(cells - {cell}, swept, None) == 0
+        # And one cell added beside the region, breaking the mirror.
+        outside = sorted(
+            cell for cell in rectangle_region(height, width) - cells if flip(cell) != cell
+        )
+        for cell in outside[:2]:
+            self.check(cells | {cell}, swept, None)
+
+    def test_squares_and_zero_counts(self, swept):
+        for side in range(1, 9):
+            expected = SQUARE_COUNTS.get(side, 0)
+            assert self.check(square_region(side), swept, "rows") == expected
+        assert self.check(rectangle_region(3, 5), swept, "columns") == 0
+        # Even height, balanced colours, but its first and last rows are
+        # 3-cell strips cut off from the rest.
+        cut_off = rectangle_region(6, 3) - {(2, c) for c in range(1, 4)} - {
+            (5, c) for c in range(1, 4)
+        }
+        assert self.check(cut_off, swept, "rows") == 0
+        assert self.check(rectangle_region(10, 3), swept, "rows") == 571
+        # A single cell: local height 1, so the top half is empty.
+        assert self.check(region_from_cells([(1, 1)]), swept, "rows") == 0
+        # Holes on the mirror line and across it.
+        assert self.check(square_region(5) - {(3, 3)}, swept, "rows") == 196
+        assert self.check(square_region(6) - {(3, 2), (4, 2)}, swept, "rows") > 0
+        two_holes = square_region(6) - {(3, 3), (4, 4)}
+        assert self.check(two_holes, swept, None) == matching_sum_brute(two_holes)
 
 
 class TestWindowRegions:

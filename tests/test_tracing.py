@@ -43,3 +43,18 @@ def test_tracer_sees_the_layers_and_the_numeric_engine(tracing):
     assert summary["condensation.numeric"]["calls"] == 1
     # The fixed-l run condenses on its own, not through symbolic_pyramid.
     assert summary["condensation.symbolic"]["calls"] == 1
+
+
+def test_tracer_sees_every_sweep(tracing):
+    # The per-layer tilings metrics read matching_sum's spans, so every
+    # count, halved or not, must still pass through it by name.
+    tracer = tracing.Tracer()
+    with tracer.tracing_op(lambdadet, "square", False):
+        assert lambdadet.count_tilings(lambdadet.square_region(6)) == 6728
+    sweeps = tracer.summary()["tilings.matching_sum"]
+    assert (sweeps["calls"], sweeps["amount"]) == (1, 36)
+
+    tracer = tracing.Tracer()
+    with tracer.tracing_op(lambdadet, "kuo", False):
+        assert lambdadet.kuo_identity_check(2).holds
+    assert tracer.summary()["tilings.matching_sum"]["calls"] == 6

@@ -349,7 +349,7 @@ def _cells_by_row(n: int, cells: Iterable[tuple[int, int]]) -> list[list[int]]:
     columns: list[list[int]] = [[] for _ in range(n)]
     for i, j in cells:
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(
+            raise SizeMismatch(
                 "cell (%d, %d) lies outside the %d-by-%d matrix" % (i, j, n, n)
             )
         columns[i - 1].append(j - 1)

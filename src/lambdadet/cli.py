@@ -49,9 +49,8 @@ from .tilings import (
     aztec_region,
     count_tilings,
     edge_key,
-    kuo_identity_check,
+    kuo_trials,
     matching_sum,
-    random_edge_weights,
     rectangle_region,
     region_edges,
     region_from_cells,
@@ -60,25 +59,48 @@ from .tilings import (
 )
 
 
-def _matrix_from_spec(spec: str) -> PolyMatrix:
+def _size(text: str) -> int:
+    size = int(text)
+    if size < 0:
+        raise ValueError("negative size %d" % size)
+    return size
+
+
+# Each key is a spec's name followed by one placeholder per argument, and
+# its value the constructor followed by one parser per argument; the keys
+# are also the usage text.
+MATRIX_SPECS = {
+    "ones:N": (ones_matrix, int),
+    "diamond:even:N": (diamond_even, int),
+    "diamond:odd:N": (diamond_odd, int),
+    "mc:C": (center_perturbed, parse_rational),
+}
+SHAPE_SPECS = {
+    "square:N": (square_region, _size),
+    "aztec:N": (aztec_region, _size),
+    "rect:H:W": (rectangle_region, _size, _size),
+}
+
+
+def _from_spec(spec: str, table: dict, kind: str):
+    """What spec names in table: a matrix or a region."""
     parts = spec.split(":")
+    for usage, (make, *parsers) in table.items():
+        name = usage.split(":")[: -len(parsers)]
+        if len(parts) == len(name) + len(parsers) and parts[: len(name)] == name:
+            try:
+                return make(*[parse(arg) for parse, arg in zip(parsers, parts[len(name):])])
+            except ValueError as exc:
+                raise SizeMismatch("bad %s spec %r: %s" % (kind, spec, exc))
+    raise SizeMismatch("unknown %s spec %r (use %s)" % (kind, spec, ", ".join(table)))
+
+
+def _read(what: str, text: str, parse):
+    """parse(text), with malformed text refused as a SizeMismatch."""
     try:
-        if parts[0] == "ones" and len(parts) == 2:
-            return ones_matrix(int(parts[1]))
-        if parts[0] == "diamond" and len(parts) == 3:
-            order = int(parts[2])
-            if parts[1] == "even":
-                return diamond_even(order)
-            if parts[1] == "odd":
-                return diamond_odd(order)
-        if parts[0] == "mc" and len(parts) == 2:
-            return center_perturbed(parse_rational(parts[1]))
-    except ValueError as exc:
-        raise SizeMismatch("bad matrix spec %r: %s" % (spec, exc))
-    raise SizeMismatch(
-        "unknown matrix spec %r (use ones:N, diamond:even:N, diamond:odd:N, mc:C)"
-        % spec
-    )
+        return parse(text)
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise SizeMismatch("could not read %s: %s" % (what, exc))
 
 
 def _load_matrix(args) -> PolyMatrix:
@@ -88,48 +110,21 @@ def _load_matrix(args) -> PolyMatrix:
             "provide exactly one of --matrix, --matrix-file, --size-from"
         )
     if args.size_from:
-        return _matrix_from_spec(args.size_from)
+        return _from_spec(args.size_from, MATRIX_SPECS, "matrix")
     text = args.matrix if args.matrix else Path(args.matrix_file).read_text()
-    try:
-        return PolyMatrix.from_json(text)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise SizeMismatch("could not read matrix JSON: %s" % exc)
+    return _read("matrix JSON", text, PolyMatrix.from_json)
 
 
 def _add_matrix_arguments(sub) -> None:
     sub.add_argument("--matrix", help="matrix as a JSON string")
     sub.add_argument("--matrix-file", help="path to a matrix JSON file")
     sub.add_argument(
-        "--size-from",
-        help="generate the matrix: ones:N, diamond:even:N, diamond:odd:N, or mc:C",
+        "--size-from", help="generate the matrix: " + ", ".join(MATRIX_SPECS)
     )
 
 
 def _parse_region(text: str):
-    try:
-        cells = json.loads(text)
-        return region_from_cells(cells)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise SizeMismatch("could not read region JSON: %s" % exc)
-
-
-def _region_from_shape(spec: str):
-    parts = spec.split(":")
-    try:
-        sizes = [int(part) for part in parts[1:]]
-    except ValueError as exc:
-        raise SizeMismatch("bad shape spec %r: %s" % (spec, exc))
-    if any(size < 0 for size in sizes):
-        raise SizeMismatch("shape spec %r has a negative size" % spec)
-    if parts[0] == "square" and len(sizes) == 1:
-        return square_region(*sizes)
-    if parts[0] == "aztec" and len(sizes) == 1:
-        return aztec_region(*sizes)
-    if parts[0] == "rect" and len(sizes) == 2:
-        return rectangle_region(*sizes)
-    raise SizeMismatch(
-        "unknown shape spec %r (use square:N, aztec:N, rect:H:W)" % spec
-    )
+    return _read("region JSON", text, lambda t: region_from_cells(json.loads(t)))
 
 
 def _print_poly(label: str, poly) -> None:
@@ -141,7 +136,7 @@ def cmd_det(args) -> int:
     """det and eq2: the determinant by args.engine, its t->0 limit, and
     with --eval the limit's value."""
     matrix = _load_matrix(args)
-    lam = None if args.eval is None else parse_rational(args.eval)
+    lam = None if args.eval is None else _read("--eval", args.eval, parse_rational)
     result = perturbed_det(matrix, args.engine)
     print("size: %d" % matrix.size)
     print("zeros perturbed to t: %s" % ("yes" if result.was_perturbed else "no"))
@@ -154,15 +149,14 @@ def cmd_det(args) -> int:
 
 def cmd_det_numeric(args) -> int:
     matrix = _load_matrix(args)
-    lam = parse_rational(args.lam)
+    lam = _read("--lam", args.lam, parse_rational)
     print(numeric_pyramid(matrix, lam).top)
     return 0
 
 
 def cmd_trace(args) -> int:
     matrix = _load_matrix(args)
-    lam = parse_rational(args.lam)
-    pyramid = numeric_pyramid(matrix, lam)
+    pyramid = numeric_pyramid(matrix, _read("--lam", args.lam, parse_rational))
     for k in range(1, pyramid.size + 1):
         print("layer %d:" % k)
         for row in pyramid.layer(k):
@@ -214,20 +208,16 @@ def cmd_asm(args) -> int:
 
 def cmd_tile(args) -> int:
     if args.shape:
-        cells = _region_from_shape(args.shape)
+        cells = _from_spec(args.shape, SHAPE_SPECS, "shape")
     elif args.cells:
         cells = _parse_region(args.cells)
     else:
         raise SizeMismatch("provide --shape or --cells")
     if args.weights:
-        try:
-            triples = json.loads(args.weights)
-            pairs = [
-                (edge_key((int(a), int(b)), (int(c), int(d))), parse_rational(w))
-                for (a, b), (c, d), w in triples
-            ]
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise SizeMismatch("could not read weights JSON: %s" % exc)
+        pairs = _read("weights JSON", args.weights, lambda text: [
+            (edge_key((int(a), int(b)), (int(c), int(d))), parse_rational(w))
+            for (a, b), (c, d), w in json.loads(text)
+        ])
         edges = set(region_edges(cells))
         weights = {}
         for edge, w in pairs:
@@ -264,17 +254,10 @@ def cmd_kuo_check(args) -> int:
     rng = Random(args.seed)
     failed = 0
     for order in range(args.min_order, args.order + 1):
-        plain = kuo_identity_check(order)
+        plain, *weighted = kuo_trials(order, args.trials, rng)
+        good = sum(check.holds for check in weighted)
+        failed += sum(not check.holds for check in (plain, *weighted))
         outcomes = ["all-ones %s" % ("OK" if plain.holds else "FAIL")]
-        if not plain.holds:
-            failed += 1
-        good = 0
-        for _ in range(args.trials):
-            check = kuo_identity_check(order, random_edge_weights(order, rng))
-            if check.holds:
-                good += 1
-            else:
-                failed += 1
         if args.trials:
             outcomes.append("random %d/%d OK" % (good, args.trials))
         print("order %d: %s" % (order, ", ".join(outcomes)))
@@ -366,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.set_defaults(func=cmd_asm)
 
     tile = commands.add_parser("tile", help="count tilings or weighted matchings")
-    tile.add_argument("--shape", help="square:N, aztec:N, or rect:H:W")
+    tile.add_argument("--shape", help=", ".join(SHAPE_SPECS))
     tile.add_argument("--cells", help="region as JSON [[r,c],...]")
     tile.add_argument(
         "--weights",

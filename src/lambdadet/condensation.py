@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import IndeterminateForm, InexactDivision, PoleAtZero, ZeroMinor
+from .errors import IndeterminateForm, InexactDivision, LambdaDetError, PoleAtZero, ZeroMinor
 from .laurent import LAM, LaurentPoly, Rational
 from .matrices import PolyMatrix
 
@@ -103,6 +103,24 @@ def _pole(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> PoleAt
     )
 
 
+def _l_order(value: LaurentPoly) -> int:
+    return min(l_exp for l_exp, _t, _c in value.terms())
+
+
+def _negative_l_power(numerator: LaurentPoly, divisor: LaurentPoly) -> str:
+    """Why numerator / divisor left the ring, if its quotient needs a
+    negative power of l.  The l-order is additive: the quotient needs
+    l^(order(numerator) - m) when numerator * l^m divides exactly by a
+    divisor of l-order m.  With m = 0 that is the division that failed."""
+    m = _l_order(divisor)
+    try:
+        (numerator * LAM**m).exact_div(divisor)
+    except LambdaDetError:
+        return ""
+    return " (its quotient needs l^%d, which Q[l][t, 1/t] cannot hold)" % (
+        _l_order(numerator) - m)
+
+
 def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...]]:
     """Yield the layers of matrix's pyramid in order, each once it is complete.
 
@@ -139,8 +157,9 @@ def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...
                         value = numerator.exact_div(divisor)
                     except InexactDivision as exc:
                         raise InexactDivision(
-                            "computing %s, the division by %s is inexact: %s"
-                            % (_window(k, i + 1, j + 1), _window(k - 2, i + 2, j + 2), exc)
+                            "computing %s, the division by %s is inexact%s: %s"
+                            % (_window(k, i + 1, j + 1), _window(k - 2, i + 2, j + 2),
+                               _negative_l_power(numerator, divisor), exc)
                         ) from exc
                 grid[i][j] = value
                 if symmetric:

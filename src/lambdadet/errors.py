@@ -38,7 +38,9 @@ class TableTooLarge(LambdaDetError):
 
 
 class SizeMismatch(LambdaDetError):
-    """Two grid-shaped arguments have incompatible sizes."""
+    """Two grid-shaped arguments have incompatible sizes, or an input from
+    outside the package (a spec, JSON, a number or a cell) is malformed or
+    out of range."""
 
 
 class NonMonomialEntry(LambdaDetError):

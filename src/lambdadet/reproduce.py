@@ -52,8 +52,7 @@ from .tilings import (
     aztec_region,
     count_tilings,
     diamond_window_region,
-    kuo_identity_check,
-    random_edge_weights,
+    kuo_trials,
     square_region,
     tfk_count,
 )
@@ -272,11 +271,10 @@ def check_odd_diamonds(session: ReproductionSession) -> tuple[bool, str]:
 def check_kuo(session: ReproductionSession) -> tuple[bool, str]:
     rng = session.rng()
     for order in range(2, 6):
-        if not kuo_identity_check(order).holds:
+        plain, *weighted = kuo_trials(order, 100, rng)
+        if not plain.holds:
             return False, "identity fails unweighted at order %d" % order
-        for trial in range(100):
-            weights = random_edge_weights(order, rng)
-            result = kuo_identity_check(order, weights)
+        for trial, result in enumerate(weighted):
             if not result.holds:
                 return False, "order %d trial %d: %s != %s" % (
                     order, trial, result.lhs, result.rhs,

@@ -410,3 +410,12 @@ def random_edge_weights(order: int, rng: Random) -> dict[Edge, Fraction]:
         edge: Fraction(rng.randint(0, 9), rng.randint(1, 4))
         for edge in region_edges(aztec_region(order))
     }
+
+
+def kuo_trials(order: int, trials: int, rng: Random) -> list[KuoCheck]:
+    """The identity at order unweighted, then under trials weightings
+    drawn one after another from rng by random_edge_weights."""
+    return [kuo_identity_check(order)] + [
+        kuo_identity_check(order, random_edge_weights(order, rng))
+        for _ in range(trials)
+    ]

@@ -374,7 +374,7 @@ class TestProfileFoldAgainstEnumeration:
         assert sum(counts.values()) == 218348
 
     def test_cells_outside_the_matrix_are_refused(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(SizeMismatch, match="outside"):
             min_region_sum(3, [(4, 1)])
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(SizeMismatch, match="outside"):
             region_sum_counts(3, [(0, 2)])

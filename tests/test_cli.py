@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from lambdadet import tilings
 from lambdadet.cli import main
 from lambdadet.errors import SizeMismatch
 from lambdadet.reproduce import run_all, run_check
@@ -138,13 +140,25 @@ class TestNumericAndTrace:
         assert out == ""
         assert err.strip() == (
             "error: InexactDivision: computing the 4-by-4 window at (1, 1), the "
-            "division by the 2-by-2 window at (2, 2) is inexact: nonzero "
-            "remainder at t-slice 0 of 2"
+            "division by the 2-by-2 window at (2, 2) is inexact (its quotient "
+            "needs l^-1, which Q[l][t, 1/t] cannot hold): nonzero remainder at "
+            "t-slice 0 of 2"
         )
         code, out, err = run(capsys, "eq2", "--matrix", matrix)
         assert code == 1
         assert out == ""
         assert err.startswith("error: NonMonomialEntry: ")
+
+    @pytest.mark.parametrize("command, option", [
+        ("det", "--eval"), ("det-numeric", "--lam"), ("trace", "--lam"),
+    ])
+    def test_a_bad_value_of_l_names_its_option(self, capsys, command, option):
+        code, out, err = run(capsys, command, "--size-from", "ones:2", option, "1/0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: SizeMismatch: could not read %s: zero denominator in '1/0'\n"
+            % option
+        )
 
     def test_numeric_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "det-numeric", "--size-from", "mc:1")
@@ -293,7 +307,9 @@ class TestAsm:
             capsys, "asm", "region-sum", "--size", "3", "--cells", "[[0, 2]]"
         )
         assert code == 1
-        assert "outside the 3-by-3 matrix" in err
+        assert err == (
+            "error: SizeMismatch: cell (0, 2) lies outside the 3-by-3 matrix\n"
+        )
 
 
 class TestTilingCommands:
@@ -393,6 +409,26 @@ class TestKuoAndReproduce:
         assert lines[0].startswith("order 2: all-ones OK, random 2/2 OK")
         assert lines[1].startswith("order 3: all-ones OK, random 2/2 OK")
 
+    def test_kuo_check_without_trials_prints_no_random_part(self, capsys):
+        code, out, _ = run(capsys, "kuo-check", "--order", "3", "--trials", "0")
+        assert code == 0
+        assert out.splitlines() == ["order 2: all-ones OK", "order 3: all-ones OK"]
+
+    def test_kuo_check_counts_every_violation(self, capsys, monkeypatch):
+        holds = tilings.kuo_identity_check
+
+        def weighted_fails(order, weights=None):
+            check = holds(order, weights)
+            return check if weights is None else replace(check, rhs=check.rhs + 1)
+
+        monkeypatch.setattr(tilings, "kuo_identity_check", weighted_fails)
+        code, out, err = run(capsys, "kuo-check", "--order", "4", "--trials", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "order %d: all-ones OK, random 0/3 OK" % order for order in (2, 3, 4)
+        ]
+        assert err == "FAILED: 9 identity violations\n"
+
     def test_kuo_check_bad_order(self, capsys):
         code, _, err = run(capsys, "kuo-check", "--min-order", "1", "--order", "1")
         assert code == 1
@@ -458,6 +494,46 @@ class TestKuoAndReproduce:
             assert "PASS" not in out and "FAIL" not in out
 
 
+SPEC_ERRORS = {
+    ("det", "--size-from", "pyramid:3"): "unknown matrix spec 'pyramid:3' "
+    "(use ones:N, diamond:even:N, diamond:odd:N, mc:C)",
+    ("det", "--size-from", "diamond:mid:2"): "unknown matrix spec 'diamond:mid:2' "
+    "(use ones:N, diamond:even:N, diamond:odd:N, mc:C)",
+    ("det", "--size-from", "ones:2:3"): "unknown matrix spec 'ones:2:3' "
+    "(use ones:N, diamond:even:N, diamond:odd:N, mc:C)",
+    ("det", "--size-from", "ones:x"): "bad matrix spec 'ones:x': "
+    "invalid literal for int() with base 10: 'x'",
+    ("det", "--size-from", "mc:1/0"): "bad matrix spec 'mc:1/0': "
+    "zero denominator in '1/0'",
+    ("tile", "--shape", "hex:3"): "unknown shape spec 'hex:3' "
+    "(use square:N, aztec:N, rect:H:W)",
+    ("tile", "--shape", "rect:3"): "unknown shape spec 'rect:3' "
+    "(use square:N, aztec:N, rect:H:W)",
+    ("tile", "--shape", "rect:x:3"): "bad shape spec 'rect:x:3': "
+    "invalid literal for int() with base 10: 'x'",
+    ("tile", "--shape", "square:-2"): "bad shape spec 'square:-2': negative size -2",
+    ("tile", "--shape", "rect:-1:3"): "bad shape spec 'rect:-1:3': negative size -1",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", SPEC_ERRORS.items(), ids=[argv[-1] for argv in SPEC_ERRORS]
+)
+def test_spec_errors_name_the_spec(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: SizeMismatch: %s\n" % message)
+
+
+def test_help_lists_the_specs_each_table_accepts(capsys):
+    for command, usage in (
+        ("det", "ones:N, diamond:even:N, diamond:odd:N, mc:C"),
+        ("tile", "square:N, aztec:N, rect:H:W"),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert usage in " ".join(capsys.readouterr().out.split())
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -489,6 +565,7 @@ MALFORMED = {
     "tile-negative-aztec": ["tile", "--shape", "aztec:-2"],
     "asm-count-size-zero": ["asm", "count", "--size", "0"],
     "asm-enumerate-size-negative": ["asm", "enumerate", "--size", "-1"],
+    "lam-not-a-number": ["det-numeric", "--size-from", "ones:2", "--lam", "abc"],
 }
 
 
@@ -498,3 +575,4 @@ def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+    assert not err.startswith("error: ValueError")

@@ -530,6 +530,17 @@ class TestIntegerScaledCondensation:
             symbolic_pyramid(matrix)
         assert isinstance(caught.value.__cause__, InexactDivision)
 
+    def test_inexact_division_names_the_negative_power_of_l_it_needs(self):
+        # The divisor l^2 has l-order 2 and the numerator l-order 1, so the
+        # quotient needs l^-1, not l^-2.
+        matrix = PolyMatrix.from_rows([[1, 3, 3], [1, LAM**2, -1], [2, 1, -1]])
+        with pytest.raises(
+            InexactDivision,
+            match=r"is inexact \(its quotient needs l\^-1, which Q\[l\]\[t, 1/t\] "
+            r"cannot hold\): nonzero remainder",
+        ):
+            symbolic_pyramid(matrix)
+
 
 class TestFailureModes:
     def test_zero_minor_stops_symbolic_condensation(self):

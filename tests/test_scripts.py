@@ -10,8 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> dict[str, list[str]]:
-    """Run a script and return its table rows keyed by their first field."""
+def run_output(name: str, *args: str) -> list[str]:
+    """Run a script and return the lines it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -21,9 +21,14 @@ def run_script(name: str, *args: str) -> dict[str, list[str]]:
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def run_script(name: str, *args: str) -> dict[str, list[str]]:
+    """Run a script and return its table rows keyed by their first field."""
     return {
         fields[0]: fields
-        for fields in (line.split() for line in result.stdout.splitlines())
+        for fields in (line.split() for line in run_output(name, *args))
         if fields and fields[0].isdigit()
     }
 
@@ -39,3 +44,13 @@ def test_partial_sum_scan_finds_the_size_seven_negative():
 def test_diamond_term_growth_recovers_square_counts():
     rows = run_script("diamond_term_growth.py", "--max-order", "3")
     assert [rows[str(n)][4] for n in (1, 2, 3)] == ["2", "36", "6728"]
+
+
+def test_code_line_total_is_the_sum_of_its_rows():
+    rows = {
+        name: int(count)
+        for name, count in (line.split() for line in run_output("code_lines.py"))
+    }
+    total = rows.pop("total")
+    assert "cli.py" in rows and "__init__.py" in rows
+    assert total == sum(rows.values()) > 0

@@ -24,6 +24,7 @@ from lambdadet.tilings import (
     diamond_window_region,
     edge_key,
     kuo_identity_check,
+    kuo_trials,
     matching_sum,
     matching_sum_brute,
     random_edge_weights,
@@ -585,6 +586,15 @@ class TestCondensationIdentity:
         for which in SUB_DIAMOND_OFFSETS:
             cells = sub_diamond_cells(2, which)
             assert matching_sum(cells, weights) == matching_sum_brute(cells, weights)
+
+    def test_trials_draw_their_weights_in_order(self):
+        checks = kuo_trials(3, 4, Random(412))
+        rng = Random(412)
+        assert checks == [kuo_identity_check(3)] + [
+            kuo_identity_check(3, random_edge_weights(3, rng)) for _ in range(4)
+        ]
+        assert all(check.holds for check in checks)
+        assert kuo_trials(2, 0, rng) == [kuo_identity_check(2)]
 
     def test_holds_flag_reports_disagreement(self):
         assert not KuoCheck(order=2, lhs=1, rhs=2).holds

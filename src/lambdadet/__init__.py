@@ -35,6 +35,7 @@ from .condensation import (
 )
 from .errors import (
     CapExceeded,
+    CellsExceeded,
     DivisionByZero,
     ExponentOverflow,
     IndeterminateForm,

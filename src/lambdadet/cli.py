@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -46,7 +48,9 @@ from .matrices import (
 )
 from .reproduce import DEFAULT_SEED, ReproductionSession, run_all
 from .tilings import (
+    as_cell,
     aztec_region,
+    check_cells,
     count_tilings,
     edge_key,
     kuo_trials,
@@ -96,10 +100,12 @@ def _from_spec(spec: str, table: dict, kind: str):
 
 
 def _read(what: str, text: str, parse):
-    """parse(text), with malformed text refused as a SizeMismatch."""
+    """parse(text), with malformed text, or a file that cannot be read,
+    refused as a SizeMismatch."""
     try:
         return parse(text)
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError
+    except (OSError, TypeError, ValueError) as exc:
         raise SizeMismatch("could not read %s: %s" % (what, exc))
 
 
@@ -111,8 +117,13 @@ def _load_matrix(args) -> PolyMatrix:
         )
     if args.size_from:
         return _from_spec(args.size_from, MATRIX_SPECS, "matrix")
-    text = args.matrix if args.matrix else Path(args.matrix_file).read_text()
-    return _read("matrix JSON", text, PolyMatrix.from_json)
+    if args.matrix:
+        return _read("matrix JSON", args.matrix, PolyMatrix.from_json)
+    return _read(
+        "--matrix-file %s" % args.matrix_file,
+        args.matrix_file,
+        lambda path: PolyMatrix.from_json(Path(path).read_text()),
+    )
 
 
 def _add_matrix_arguments(sub) -> None:
@@ -215,8 +226,8 @@ def cmd_tile(args) -> int:
         raise SizeMismatch("provide --shape or --cells")
     if args.weights:
         pairs = _read("weights JSON", args.weights, lambda text: [
-            (edge_key((int(a), int(b)), (int(c), int(d))), parse_rational(w))
-            for (a, b), (c, d), w in json.loads(text)
+            (edge_key(as_cell(a), as_cell(b)), parse_rational(w))
+            for a, b, w in json.loads(text)
         ])
         edges = set(region_edges(cells))
         weights = {}
@@ -228,20 +239,23 @@ def cmd_tile(args) -> int:
             if edge in weights:
                 raise SizeMismatch("edge %s-%s is weighted twice" % edge)
             weights[edge] = w
-        print("cells: %d" % len(cells))
-        print("weighted matching sum: %s" % matching_sum(cells, weights))
+        result = "weighted matching sum: %s" % matching_sum(cells, weights)
     else:
-        print("cells: %d" % len(cells))
-        print("tilings: %d" % count_tilings(cells))
+        result = "tilings: %d" % count_tilings(cells)
+    print("cells: %d" % len(cells))
+    print(result)
     return 0
 
 
 def cmd_tfk(args) -> int:
     if args.n < 0:
         raise SizeMismatch("tfk needs n >= 0, got %d" % args.n)
+    check_cells((2 * args.n) ** 2)
     approx = tfk_count(args.n)
     exact = count_tilings(square_region(2 * args.n))
-    rel = abs(approx - exact) / exact
+    # Past n = 25 the product overflows a float to inf, and the exact
+    # count no longer converts to one.
+    rel = abs(Fraction(approx) - exact) / exact if math.isfinite(approx) else math.inf
     print("product formula: %.6f" % approx)
     print("exact count:     %d" % exact)
     print("relative error:  %.3e" % rel)

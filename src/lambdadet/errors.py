@@ -66,5 +66,9 @@ class WidthExceeded(LambdaDetError):
     """A region is wider than the tiling counter's frontier allows."""
 
 
+class CellsExceeded(LambdaDetError):
+    """A region has more cells than the matching determinant allows."""
+
+
 class OrderExceeded(LambdaDetError):
     """An Aztec graph is larger than the brute-force matcher allows."""

@@ -113,11 +113,18 @@ class PolyMatrix:
                 "matrix JSON must be an object, got %s" % type(doc).__name__
             )
         entries = doc.get("entries")
-        if not isinstance(entries, list):
-            raise SizeMismatch("matrix JSON needs an 'entries' list")
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise SizeMismatch("matrix JSON needs an 'entries' list of row lists")
+        for value in (value for row in entries for value in row):
+            # bool is an int subclass: true would otherwise read as 1.
+            if type(value) is not int and not isinstance(value, str):
+                raise SizeMismatch(
+                    "matrix entry %s is neither an integer nor polynomial text"
+                    % json.dumps(value)
+                )
         matrix = cls.from_rows(entries)
         declared = doc.get("size")
-        if declared is not None and declared != matrix.size:
+        if declared is not None and (type(declared) is not int or declared != matrix.size):
             raise SizeMismatch(
                 "declared size %r does not match %d rows" % (declared, matrix.size)
             )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from lambdadet.cli import main
 from lambdadet.errors import SizeMismatch
 from lambdadet.reproduce import run_all, run_check
 
+HERE = Path(__file__).resolve().parent
 TWO_BY_TWO = json.dumps({"size": 2, "entries": [[2, 3], [5, 7]]})
 
 
@@ -329,15 +332,30 @@ class TestTilingCommands:
         assert "tilings: 1346269" in out
 
     def test_aztec_diamond_is_swept_by_diagonals(self, capsys):
-        # 28 cells wide by rows, beyond MAX_PROFILE_WIDTH; 15 by diagonals.
         code, out, _ = run(capsys, "tile", "--shape", "aztec:14")
         assert code == 0
         assert out.splitlines() == ["cells: 420", "tilings: %d" % 2**105]
 
-    def test_square_too_wide_both_ways_is_refused(self, capsys):
-        code, _, err = run(capsys, "tile", "--shape", "square:25")
+    def test_regions_too_wide_to_sweep_are_counted(self, capsys):
+        # Frontiers of 32, 25 and 25 cells: past the sweep, so counted by
+        # the determinant.
+        for shape, expected in (
+            ("square:32", tilings._kasteleyn_sum(tilings.square_region(32))),
+            ("aztec:24", 2**300),
+            ("square:25", 0),
+        ):
+            code, out, _ = run(capsys, "tile", "--shape", shape)
+            assert code == 0
+            assert out.splitlines()[1] == "tilings: %d" % expected
+
+    def test_square_past_the_cell_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "tile", "--shape", "square:66")
         assert code == 1
-        assert "WidthExceeded" in err
+        assert out == ""
+        assert err == (
+            "error: CellsExceeded: region has 4356 cells; "
+            "the determinant handles at most %d\n" % tilings.MAX_DETERMINANT_CELLS
+        )
 
     def test_explicit_cells(self, capsys):
         code, out, _ = run(
@@ -400,6 +418,17 @@ class TestTilingCommands:
         assert "exact count:     36" in out
         assert "relative error:" in out
 
+    def test_tfk_past_the_float_range_prints_the_exact_count(self, capsys):
+        # The 52 x 52 square has about 10^342 tilings.
+        code, out, _ = run(capsys, "tfk", "26")
+        assert code == 0
+        exact = tilings._kasteleyn_sum(tilings.square_region(52))
+        assert out.splitlines() == [
+            "product formula: inf",
+            "exact count:     %d" % exact,
+            "relative error:  inf",
+        ]
+
 
 class TestKuoAndReproduce:
     def test_kuo_check_passes(self, capsys):
@@ -428,6 +457,17 @@ class TestKuoAndReproduce:
             "order %d: all-ones OK, random 0/3 OK" % order for order in (2, 3, 4)
         ]
         assert err == "FAILED: 9 identity violations\n"
+
+    def test_kuo_check_past_the_sweep_is_quick(self, capsys):
+        # Order 24 is 25 cells wide by diagonals, past the sweep: every
+        # sum of the identity comes from the determinant.
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "kuo-check", "--min-order", "24", "--order", "24", "--trials", "0"
+        )
+        assert code == 0
+        assert out == "order 24: all-ones OK\n"
+        assert time.perf_counter() - start < 10
 
     def test_kuo_check_bad_order(self, capsys):
         code, _, err = run(capsys, "kuo-check", "--min-order", "1", "--order", "1")
@@ -566,12 +606,27 @@ MALFORMED = {
     "asm-count-size-zero": ["asm", "count", "--size", "0"],
     "asm-enumerate-size-negative": ["asm", "enumerate", "--size", "-1"],
     "lam-not-a-number": ["det-numeric", "--size-from", "ones:2", "--lam", "abc"],
+    "matrix-file-missing": ["det", "--matrix-file", str(HERE / "no-such-matrix.json")],
+    "matrix-file-directory": ["det", "--matrix-file", str(HERE)],
+    "cells-float": ["asm", "region-sum", "--size", "3", "--cells", "[[1.5,2]]"],
+    "cells-bool": ["tile", "--cells", "[[true,2],[1,3]]"],
+    "cells-not-pairs": ["tile", "--cells", "[[1,2,3]]"],
+    "weights-cell-bool": [
+        "tile", "--shape", "square:2", "--weights", json.dumps([[[True, 1], [2, 1], "2"]])
+    ],
+    "matrix-entry-bool": ["det", "--matrix", '{"size": 2, "entries": [[1,2],[3,true]]}'],
+    "matrix-entry-float": ["det", "--matrix", '{"size": 2, "entries": [[1,2],[3,1.5]]}'],
+    "matrix-size-bool": ["det", "--matrix", '{"size": true, "entries": [[1]]}'],
+    "tfk-past-the-cell-bound": ["tfk", "600"],
+    "tile-past-the-cell-bound": ["tile", "--shape", "square:66"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

@@ -3,6 +3,8 @@ identity."""
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from lambdadet import tilings
 from lambdadet.condensation import numeric_pyramid
-from lambdadet.errors import OrderExceeded, WidthExceeded
+from lambdadet.errors import CellsExceeded, OrderExceeded, WidthExceeded
 from lambdadet.matrices import diamond_even
 from lambdadet.tilings import (
     SUB_DIAMOND_OFFSETS,
@@ -98,7 +100,6 @@ class TestCounting:
         assert count_tilings(square_region(12)) == 53060477521960000
         assert count_tilings(square_region(14)) == 112202208776036178000000
         assert count_tilings(square_region(16)) == 2444888770250892795802079170816
-        # An odd local height: the join meets the middle row's sweep.
         cells = rectangle_region(9, 8)
         ones = {edge: 1 for edge in region_edges(cells)}
         assert count_tilings(cells) == matching_sum(cells, ones) > 0
@@ -409,63 +410,31 @@ MIRROR_BOXES = [
 ]
 
 
-@pytest.fixture
-def swept(monkeypatch):
-    """Number of cells each matching_sum call carries its states through."""
-    counts: list[int] = []
-    sweep = tilings._sweep
-
-    def counting(states, steps, scale):
-        counts.append(len(steps))
-        return sweep(states, steps, scale)
-
-    monkeypatch.setattr(tilings, "_sweep", counting)
-    return counts
-
-
-def top_half(cells, across):
-    """Cells before the middle cut: rows < H // 2 or columns < W // 2 of
-    the bounding box (H, W its height and width)."""
-    axis = 0 if across == "rows" else 1
-    values = [cell[axis] for cell in cells]
-    first, extent = min(values), max(values) - min(values) + 1
-    return {cell for cell in cells if cell[axis] - first < extent // 2}
-
-
 class TestMirrorJoin:
-    """Unweighted mirror-symmetric regions swept by rows or columns sweep
-    their top half and join the halves at the middle cut."""
+    """Mirror-symmetric regions, ragged and with holes on the mirror line
+    and across it, held to the sweep, the determinant and, up to 60
+    cells, brute force."""
 
-    def check(self, cells, swept, across):
-        """The count of cells, held to the weighted full sweep and, up to 60
-        cells, to brute force.  across names the mirror the sweep halves
-        at ("rows" or "columns"), or is None for a full sweep."""
-        swept.clear()
-        value = matching_sum(cells)
-        expected = len(cells) - len(top_half(cells, across)) if across else len(cells)
-        assert sum(swept) == expected
-        ones = {edge: 1 for edge in region_edges(cells)}
-        swept.clear()
-        assert matching_sum(cells, ones) == value
-        assert sum(swept) == len(cells)
+    def check(self, cells):
+        """The count of cells, the same by every evaluator."""
+        value = tilings._sweep_sum(cells)
+        assert tilings._kasteleyn_sum(cells) == value
         if len(cells) <= 60:
             assert matching_sum_brute(cells) == value
         return value
 
     @pytest.mark.parametrize("height, width, across", MIRROR_BOXES)
-    def test_mirror_regions_match_the_full_sweep(self, height, width, across, swept):
+    def test_mirror_regions_match_the_full_sweep(self, height, width, across):
         rng = Random(height * 100 + width)
         counts = []
         for _ in range(3):
             for build in (mirror_dominoes, mirror_scatter):
                 cells = build(height, width, across, rng)
-                counts.append(self.check(cells, swept, across))
+                counts.append(self.check(cells))
         assert any(counts)
 
     @pytest.mark.parametrize("height, width, across", MIRROR_BOXES)
-    def test_one_cell_off_the_mirror_takes_the_full_sweep(
-        self, height, width, across, swept
-    ):
+    def test_one_cell_off_the_mirror_takes_the_full_sweep(self, height, width, across):
         rng = Random(height * 100 + width + 1)
         flip = mirror_flip(height, width, across)
         cells = mirror_dominoes(height, width, across, rng)
@@ -476,33 +445,160 @@ class TestMirrorJoin:
             if flip(cell) != cell and 1 < cell[0] < height and 1 < cell[1] < width
         ) or sorted(cell for cell in cells if flip(cell) != cell)
         for cell in inner[:: max(1, len(inner) // 3)]:
-            assert self.check(cells - {cell}, swept, None) == 0
+            assert self.check(cells - {cell}) == 0
         # And one cell added beside the region, breaking the mirror.
         outside = sorted(
             cell for cell in rectangle_region(height, width) - cells if flip(cell) != cell
         )
         for cell in outside[:2]:
-            self.check(cells | {cell}, swept, None)
+            self.check(cells | {cell})
 
-    def test_squares_and_zero_counts(self, swept):
+    def test_squares_and_zero_counts(self):
         for side in range(1, 9):
             expected = SQUARE_COUNTS.get(side, 0)
-            assert self.check(square_region(side), swept, "rows") == expected
-        assert self.check(rectangle_region(3, 5), swept, "columns") == 0
+            assert self.check(square_region(side)) == expected
+        assert self.check(rectangle_region(3, 5)) == 0
         # Even height, balanced colours, but its first and last rows are
         # 3-cell strips cut off from the rest.
         cut_off = rectangle_region(6, 3) - {(2, c) for c in range(1, 4)} - {
             (5, c) for c in range(1, 4)
         }
-        assert self.check(cut_off, swept, "rows") == 0
-        assert self.check(rectangle_region(10, 3), swept, "rows") == 571
-        # A single cell: local height 1, so the top half is empty.
-        assert self.check(region_from_cells([(1, 1)]), swept, "rows") == 0
+        assert self.check(cut_off) == 0
+        assert self.check(rectangle_region(10, 3)) == 571
+        assert self.check(region_from_cells([(1, 1)])) == 0
         # Holes on the mirror line and across it.
-        assert self.check(square_region(5) - {(3, 3)}, swept, "rows") == 196
-        assert self.check(square_region(6) - {(3, 2), (4, 2)}, swept, "rows") > 0
-        two_holes = square_region(6) - {(3, 3), (4, 4)}
-        assert self.check(two_holes, swept, None) == matching_sum_brute(two_holes)
+        assert self.check(square_region(5) - {(3, 3)}) == 196
+        assert self.check(square_region(6) - {(3, 2), (4, 2)}) > 0
+        assert self.check(square_region(6) - {(3, 3), (4, 4)}) == 0
+        assert self.check(square_region(6) - {(3, 3), (4, 5)}) > 0
+
+
+def ring(centre, radius):
+    """Cells at king's-move distance exactly radius from centre."""
+    (y, x) = centre
+    return {
+        (r, c)
+        for r in range(y - radius, y + radius + 1)
+        for c in range(x - radius, x + radius + 1)
+        if max(abs(r - y), abs(c - x)) == radius
+    }
+
+
+# Holes that break Kasteleyn's sign condition, alone and nested.  The 7x7
+# square less the ring of radius 2 about (4, 4) leaves a one-cell-wide
+# frame and a 3x3 island inside a 16-cell hole.
+NESTED_HOLES = {
+    # One odd hole, a single cell.
+    "odd hole": square_region(5) - {(3, 3)},
+    "two odd holes in a column": square_region(6) - {(2, 3), (5, 3)},
+    # Odd holes in pairs on one row, whose rays to the right cross the
+    # same edges.
+    "odd holes side by side": square_region(6) - {(3, 2), (3, 4), (5, 3), (5, 5)},
+    # A 17-cell hole holding an 8-cell island.
+    "odd hole around an island": square_region(7) - ring((4, 4), 2) - {(3, 3)},
+    # A 16-cell hole holding an 8-cell island with a one-cell hole of its own.
+    "island with an odd hole": square_region(7) - ring((4, 4), 2) - {(4, 4)},
+    # Both: a 17-cell hole and the island's one-cell hole.
+    "odd hole around an island with an odd hole": (
+        square_region(9) - ring((5, 5), 2) - {(5, 8), (5, 5), (1, 1)}
+    ),
+    # Cells that touch only at corners are one hole, or one with the
+    # outside: (2, 5) touches the notch at (1, 4).
+    "diagonal hole": square_region(6) - {(2, 2), (3, 3), (4, 4), (5, 2), (2, 5), (1, 4)},
+}
+
+
+def unmended_determinant(cells):
+    """|det| with (-1)^c on every vertical edge (r, c)-(r+1, c) and no
+    sign change around holes: the tiling count of a region without holes
+    and, for some regions with an odd hole, a wrong one."""
+    edges = region_edges(cells)
+    signs = [1 if a[0] == b[0] else (-1) ** (a[1] % 2) for a, b in edges]
+    return abs(tilings._determinant(cells, edges, signs))
+
+
+def random_region(height, width, rng):
+    """A seeded random subset of the box, dense enough to have holes."""
+    keep = rng.uniform(0.6, 0.95)
+    return frozenset(
+        (r, c)
+        for r in range(1, height + 1)
+        for c in range(1, width + 1)
+        if rng.random() < keep
+    )
+
+
+class TestKasteleyn:
+    """The determinant held to the sweep and to brute force, each reached
+    through its own function."""
+
+    def check(self, cells, weights=None):
+        """The determinant's sum, equal to the sweep's and, up to 36 cells,
+        to brute force's."""
+        value = tilings._kasteleyn_sum(cells, weights)
+        assert value == tilings._sweep_sum(cells, weights)
+        if len(cells) <= 36:
+            assert value == matching_sum_brute(cells, weights)
+        return value
+
+    @pytest.mark.parametrize("name", sorted(NESTED_HOLES))
+    def test_nested_and_odd_holes(self, name):
+        cells = NESTED_HOLES[name]
+        assert self.check(cells) > 0
+        assert unmended_determinant(cells) != self.check(cells)
+        rng = Random(sorted(NESTED_HOLES).index(name) + 430)
+        assert self.check(cells, nonzero_weights(cells, rng)) != 0
+
+    def test_seeded_ragged_regions(self):
+        rng = Random(431)
+        mended = nonzero = 0
+        for i in range(400):
+            height, width = rng.randint(2, 8), rng.randint(2, 8)
+            if i % 2:
+                cells = random_dominoes(rectangle_region(height, width), rng)
+            else:
+                cells = random_region(height, width, rng)
+            if not cells:
+                continue
+            value = self.check(cells)
+            nonzero += value != 0
+            mended += unmended_determinant(cells) != value
+        # Some regions count right only with the sign change around holes.
+        assert mended >= 40 and nonzero >= 200
+
+    @pytest.mark.parametrize("kind", ["positive", "zeros", "negatives"])
+    def test_seeded_weighted_regions(self, kind):
+        rng = Random(432 + ["positive", "zeros", "negatives"].index(kind))
+        nonzero = 0
+        for _ in range(60):
+            cells = random_region(rng.randint(2, 7), rng.randint(2, 7), rng)
+            if not cells:
+                continue
+            weights = nonzero_weights(cells, rng)
+            if kind != "negatives":
+                weights = {edge: abs(w) for edge, w in weights.items()}
+            if kind == "zeros":
+                weights = with_zeros(weights, rng)
+            nonzero += self.check(cells, weights) != 0
+        assert nonzero >= 5
+
+    def test_squares_and_aztec_diamonds(self):
+        for side in (10, 12, 14):
+            cells = square_region(side)
+            assert tilings._kasteleyn_sum(cells) == tilings._sweep_sum(cells)
+        assert tilings._kasteleyn_sum(aztec_region(12)) == aztec_count_formula(12)
+        assert matching_sum(aztec_region(24)) == 2**300
+
+    def test_fixed_l_condensation_counts_vertical_dominoes(self):
+        # The order-n diamond at l = l0 is l0^(n(n-1)/2) times the 2n x 2n
+        # square's matching sum with weight sqrt(l0) on vertical edges.
+        for n in (8, 9, 10):
+            square = square_region(2 * n)
+            for l0 in (4, 9):
+                root = math.isqrt(l0)
+                weights = {(a, b): root for a, b in region_edges(square) if a[1] == b[1]}
+                expected = l0 ** (n * (n - 1) // 2) * tilings._kasteleyn_sum(square, weights)
+                assert numeric_pyramid(diamond_even(n), l0).top == expected
 
 
 class TestWindowRegions:
@@ -614,9 +710,17 @@ class TestGuards:
     def test_wide_region_is_swept_transposed(self):
         assert matching_sum(rectangle_region(2, 30)) == 1346269
 
-    def test_region_wide_both_ways_is_refused(self):
+    def test_region_past_the_cell_bound_is_refused(self):
+        # 66 * 66 = 4356 cells, past MAX_DETERMINANT_CELLS, and 66 wide
+        # every way, past what the sweep takes: refused before any matrix
+        # is built.
+        assert tilings.MAX_DETERMINANT_CELLS < 66 * 66
+        start = time.perf_counter()
+        with pytest.raises(CellsExceeded, match="region has 4356 cells"):
+            matching_sum(square_region(66))
+        assert time.perf_counter() - start < 1
         with pytest.raises(WidthExceeded, match="frontier of 25 cells"):
-            matching_sum(square_region(25))
+            tilings._sweep_sum(square_region(25))
 
     def test_brute_force_cell_cap(self):
         with pytest.raises(OrderExceeded):

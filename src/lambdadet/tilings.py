@@ -20,20 +20,26 @@ limits to MAX_DETERMINANT_CELLS.  matching_sum picks between the two by
 the region's frontier and cell count (see its docstring), so wide and
 fat regions, squares of side 10 and more and Aztec diamonds of order 9
 and more among them, go to the determinant, and thin ones stay on the
-sweep.  matching_sum_brute recurses on the first uncovered cell and is
-kept deliberately naive so it can serve as an independent check of the
-other two.  The Aztec-diamond families, their four-fold overlapping
+sweep.  matching_sum works in two steps: a region step, which depends on
+the cells alone (the parity test, the route and, for the sweep, its
+steps with the edge each one weighs) and is kept for the last 16 regions
+summed, and a weight step, which applies it to the weights.  So the
+identity checks, which meet the same six regions under every weighting,
+prepare each region once.  matching_sum_brute recurses on the first
+uncovered cell and is kept deliberately naive so it can serve as an
+independent check of the other two.  The Aztec-diamond families, their four-fold overlapping
 sub-diamonds, and the graphical condensation identity that ties them to
 the determinant recurrence all live here as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CellsExceeded, OrderExceeded, SizeMismatch, WidthExceeded
 from .laurent import Rational
@@ -112,20 +118,22 @@ def region_edges(cells: Region) -> list[Edge]:
     return out
 
 
-def _weight_lookup(weights: Mapping[Edge, Rational] | None):
-    if weights is None:
-        return lambda a, b: 1
-    return lambda a, b: weights.get(edge_key(a, b), 1)
-
-
 def matching_sum(
     cells: Region, weights: Mapping[Edge, Rational] | None = None
 ) -> Rational:
     """Sum of matching weights, by the frontier sweep or by the determinant.
 
+    The sum is taken in two steps.  The region step, _evaluator(cells),
+    depends on the cells alone: it tests the parity, picks the route and,
+    for a swept region, lays out the sweep's steps with the edge each one
+    weighs.  The weight step applies that to the weights, which for a
+    swept region only looks each edge up.  The last 16 region steps are
+    kept (functools.lru_cache), so a region summed under many weightings,
+    as by kuo_trials, is prepared once.
+
     A region whose black cells (r + c even) and white cells differ in
     number has no perfect matching and gives 0 at once.  Otherwise let B
-    be the narrowest frontier bound of the sweep (see _sweep_sum).  The
+    be the narrowest frontier bound of the sweep (see _sweep_plan).  The
     region goes to the Kasteleyn determinant when B > MAX_PROFILE_WIDTH,
     which the sweep refuses, or when B >= 10 and len(cells) <= 4 * B**2;
     every other region is swept.  Both constants were measured (best of
@@ -149,20 +157,26 @@ def matching_sum(
     The determinant refuses a region of more than MAX_DETERMINANT_CELLS
     cells (CellsExceeded) before it builds its matrix.
     """
+    return _evaluator(frozenset(cells))(weights)
+
+
+@functools.lru_cache(maxsize=16)
+def _evaluator(cells: Region) -> Callable[[Mapping[Edge, Rational] | None], Rational]:
+    """matching_sum's region step: the sum as a function of the weights."""
     if not cells:
-        return 1
+        return lambda weights: 1
     if 2 * sum((r + c) % 2 for r, c in cells) != len(cells):
-        return 0
+        return lambda weights: 0
     bounds = _frontier_bounds(cells)
     bound = min(bounds)
     if bound > MAX_PROFILE_WIDTH or (bound >= 10 and len(cells) <= 4 * bound**2):
-        return _kasteleyn_sum(cells, weights)
-    return _sweep_sum(cells, weights, bounds)
+        return functools.partial(_kasteleyn_sum, cells)
+    return functools.partial(_run_plan, cells, _sweep_plan(cells, bounds))
 
 
 def _frontier_bounds(cells: Region) -> tuple[int, int, int, int]:
     """The sweep's frontier bound by rows, columns, diagonals and
-    anti-diagonals (see _sweep_sum)."""
+    anti-diagonals (see _sweep_plan)."""
     rows = [r for r, _ in cells]
     columns = [c for _, c in cells]
     differences = [r - c for r, c in cells]
@@ -185,11 +199,20 @@ def _unscaled(total: int, scale: int, cells: Region) -> Rational:
 
 
 def _sweep_sum(
-    cells: Region,
-    weights: Mapping[Edge, Rational] | None = None,
-    bounds: tuple[int, int, int, int] | None = None,
+    cells: Region, weights: Mapping[Edge, Rational] | None = None
 ) -> Rational:
-    """Sum of matching weights by a frontier sweep.
+    """Sum of matching weights by a frontier sweep, whatever the region's
+    shape, planned afresh on every call (matching_sum keeps its plans)."""
+    if not cells:
+        return 1
+    return _run_plan(cells, _sweep_plan(cells, _frontier_bounds(cells)), weights)
+
+
+def _sweep_plan(
+    cells: Region, bounds: tuple[int, int, int, int]
+) -> list[tuple[int, Edge | None, Edge | None]]:
+    """The frontier sweep's steps, one (slot, down edge, right edge) per
+    cell in sweep order; an edge that leaves the region is None.
 
     The region is swept in the one of four cell orders whose frontier is
     narrowest: by rows (at most W cells wide, for a bounding box of
@@ -200,17 +223,8 @@ def _sweep_sum(
     max - min over the region; the anti-diagonal bound is the same with
     r + c.  Ties keep rows, then columns.  The chosen bound must be at
     most MAX_PROFILE_WIDTH (WidthExceeded otherwise); an order-n Aztec
-    diamond, 2n cells wide, needs n + 1.
-
-    Every perfect matching has len(cells) // 2 edges, so the weights are
-    first scaled by D, the lcm of their denominators: the sweep then
-    carries ints only, and the sum is sweep(D * w) / D ** (len(cells) // 2).
-    Edges outside the region are ignored and do not enter D.  bounds, when
-    given, is _frontier_bounds(cells), already computed.
+    diamond, 2n cells wide, needs n + 1.  bounds is _frontier_bounds(cells).
     """
-    if not cells:
-        return 1
-    bounds = bounds or _frontier_bounds(cells)
     order = min(range(4), key=bounds.__getitem__)
     if bounds[order] > MAX_PROFILE_WIDTH:
         raise WidthExceeded(
@@ -220,45 +234,53 @@ def _sweep_sum(
         )
     r0 = min(r for r, _ in cells)
     c0 = min(c for _, c in cells)
-    width, height = bounds[:2]
     # Local (row, column) coordinates from (0, 0): columns transpose the
     # region and anti-diagonals mirror it (c -> W - 1 - c), so that rows or
-    # diagonals of the local box are swept.  Weights are looked up on the
+    # diagonals of the local box are swept.  Edges are named by the
     # original cells.
     if order == 1:
         local = {(c - c0, r - r0): (r, c) for (r, c) in cells}
-        height, width = width, height
     elif order == 3:
-        local = {(r - r0, width - 1 - c + c0): (r, c) for (r, c) in cells}
+        local = {(r - r0, bounds[0] - 1 - c + c0): (r, c) for (r, c) in cells}
     else:
         local = {(r - r0, c - c0): (r, c) for (r, c) in cells}
-    lookup = _weight_lookup(weights)
 
-    def weight(cell: Cell, neighbour: Cell) -> Rational:
-        """Weight of the edge between local cells, 0 if it leaves the region."""
+    def edge(cell: Cell, neighbour: Cell) -> Edge | None:
+        """The edge between local cells, None if it leaves the region."""
         if neighbour not in local:
-            return 0
-        return lookup(local[cell], local[neighbour])
+            return None
+        return edge_key(local[cell], local[neighbour])
 
     # The frontier holds one bit per column: cell (r, c) hands its slot c
     # to (r + 1, c), and next in slot c + 1 comes (r, c + 1).  By rows that
     # holds in reading order.  By diagonals the cells go by ascending r + c
     # and, within a diagonal, ascending r, so (r - 1, c + 1) has already
-    # handed slot c + 1 to (r, c + 1).
-    if order < 2:
-        positions = ((r, c) for r in range(height) for c in range(width))
-    else:
-        positions = (
-            (r, d - r)
-            for d in range(height + width - 1)
-            for r in range(max(0, d - width + 1), min(d + 1, height))
-        )
-    # One step per in-region cell: a cell outside the region never has its
-    # frontier bit set, so sweeping it would copy the states unchanged.
+    # handed slot c + 1 to (r, c + 1).  Only in-region cells are steps: a
+    # cell outside the region never has its frontier bit set, so sweeping
+    # it would copy the states unchanged.
+    diagonal = None if order < 2 else (lambda cell: (cell[0] + cell[1], cell[0]))
+    return [
+        (c, edge((r, c), (r + 1, c)), edge((r, c), (r, c + 1)))
+        for r, c in sorted(local, key=diagonal)
+    ]
+
+
+def _run_plan(
+    cells: Region,
+    plan: list[tuple[int, Edge | None, Edge | None]],
+    weights: Mapping[Edge, Rational] | None = None,
+) -> Rational:
+    """Sweep the plan's steps under the weights (missing edges weigh 1).
+
+    Every perfect matching has len(cells) // 2 edges, so the weights are
+    first scaled by D, the lcm of their denominators: the sweep then
+    carries ints only, and the sum is sweep(D * w) / D ** (len(cells) // 2).
+    Edges outside the region are ignored and do not enter D.
+    """
+    get = (weights or {}).get
     steps = [
-        (c, weight((r, c), (r + 1, c)), weight((r, c), (r, c + 1)))
-        for r, c in positions
-        if (r, c) in local
+        (c, 0 if down is None else get(down, 1), 0 if right is None else get(right, 1))
+        for c, down, right in plan
     ]
     scale = math.lcm(*(w.denominator for _, down, right in steps for w in (down, right)))
     return _unscaled(_sweep({0: 1}, steps, scale).get(0, 0), scale, cells)
@@ -341,8 +363,8 @@ def _kasteleyn_sum(
     """
     check_cells(len(cells))
     edges = region_edges(cells)
-    lookup = _weight_lookup(weights)
-    values = [lookup(a, b) for a, b in edges]
+    get = (weights or {}).get
+    values = [get(edge, 1) for edge in edges]
     scale = math.lcm(*(w.denominator for w in values))
     values = [w.numerator * (scale // w.denominator) for w in values]
     rows: dict[int, list[int]] = {}
@@ -455,7 +477,7 @@ def matching_sum_brute(
             "brute-force matching enumeration is limited to %d cells, got %d"
             % (MAX_BRUTE_CELLS, len(cells))
         )
-    lookup = _weight_lookup(weights)
+    get = (weights or {}).get
 
     def recurse(remaining: frozenset[Cell]) -> Rational:
         if not remaining:
@@ -464,7 +486,7 @@ def matching_sum_brute(
         total: Rational = 0
         for partner in ((r, c + 1), (r + 1, c)):
             if partner in remaining:
-                w = lookup((r, c), partner)
+                w = get(edge_key((r, c), partner), 1)
                 if w:
                     total += w * recurse(remaining - {(r, c), partner})
         return total
@@ -581,27 +603,36 @@ def kuo_identity_check(
     """
     if order < 2:
         raise OrderExceeded("the identity needs order at least 2")
-    lookup = _weight_lookup(weights)
-    tips = {name: lookup(*edge) for name, edge in tip_edges(order).items()}
-    whole = matching_sum(aztec_region(order), weights)
-    sums = {
-        which: matching_sum(sub_diamond_cells(order, which), weights)
-        for which in SUB_DIAMOND_OFFSETS
-    }
-    lhs = whole * sums["center"]
+    whole, parts, tips, _ = _kuo_regions(order)
+    get = (weights or {}).get
+    north, south, west, east = (get(edge, 1) for edge in tips)
+    total = matching_sum(whole, weights)
+    sums = {which: matching_sum(cells, weights) for which, cells in parts}
+    lhs = total * sums["center"]
     rhs = (
-        tips["north"] * tips["south"] * sums["west"] * sums["east"]
-        + tips["west"] * tips["east"] * sums["north"] * sums["south"]
+        north * south * sums["west"] * sums["east"]
+        + west * east * sums["north"] * sums["south"]
     )
     return KuoCheck(order=order, lhs=lhs, rhs=rhs)
 
 
+@functools.lru_cache(maxsize=4)
+def _kuo_regions(
+    order: int,
+) -> tuple[Region, tuple[tuple[str, Region], ...], tuple[Edge, ...], tuple[Edge, ...]]:
+    """The order-n diamond, its named sub-diamonds, its north, south, west
+    and east tip edges, and its edges in region_edges order: built once
+    per order, so that matching_sum meets the same regions every trial."""
+    whole = aztec_region(order)
+    parts = tuple((which, sub_diamond_cells(order, which)) for which in SUB_DIAMOND_OFFSETS)
+    return whole, parts, tuple(tip_edges(order).values()), tuple(region_edges(whole))
+
+
 def random_edge_weights(order: int, rng: Random) -> dict[Edge, Fraction]:
-    """Non-negative rational weights for every edge of the order-n diamond."""
-    return {
-        edge: Fraction(rng.randint(0, 9), rng.randint(1, 4))
-        for edge in region_edges(aztec_region(order))
-    }
+    """Non-negative rational weights for every edge of the order-n diamond,
+    drawn in region_edges order."""
+    *_, edges = _kuo_regions(order)
+    return {edge: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for edge in edges}
 
 
 def kuo_trials(order: int, trials: int, rng: Random) -> list[KuoCheck]:

@@ -336,6 +336,14 @@ class TestTilingCommands:
         assert code == 0
         assert out.splitlines() == ["cells: 420", "tilings: %d" % 2**105]
 
+    def test_far_apart_cells_are_counted_quickly(self, capsys):
+        # Two cells 3000 rows apart: the sweep walks the region's cells, not
+        # its 3000 x 3001 bounding box.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tile", "--cells", "[[1,1],[3000,3001]]")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (0, "cells: 2\ntilings: 0\n")
+
     def test_regions_too_wide_to_sweep_are_counted(self, capsys):
         # Frontiers of 32, 25 and 25 cells: past the sweep, so counted by
         # the determinant.

@@ -368,6 +368,29 @@ class TestSweepOrders:
         # 26 cells wide by rows, 14 by diagonals.
         assert count_tilings(aztec_region(13)) == aztec_count_formula(13)
 
+    @pytest.mark.parametrize(
+        "step",
+        [(0, 1000), (1000, 0), (1000, 1000), (1000, -1000)],
+        ids=["row", "column", "diagonal", "anti-diagonal"],
+    )
+    def test_scattered_pieces_match_brute(self, step):
+        # Four ragged pieces, each a step further on: along a row, a column,
+        # a diagonal and an anti-diagonal, so each of the four orders sweeps
+        # a few dozen cells in a bounding box up to 3000 cells on a side.
+        dr, dc = step
+        for seed in range(3):
+            rng = Random(seed + 423)
+            pieces = [random_dominoes(rectangle_region(3, 4), rng) for _ in range(4)]
+            cells = frozenset(
+                (r + k * dr, c + k * dc) for k, piece in enumerate(pieces) for r, c in piece
+            )
+            assert len(cells) <= 48
+            assert matching_sum(cells) == matching_sum_brute(cells) > 0
+            weights = nonzero_weights(cells, rng)
+            assert matching_sum(cells, weights) == matching_sum_brute(cells, weights) != 0
+            zeroed = with_zeros(weights, rng)
+            assert matching_sum(cells, zeroed) == matching_sum_brute(cells, zeroed)
+
 
 def mirror_flip(height, width, across):
     """Reflection of the height-by-width box across its middle row
@@ -601,6 +624,50 @@ class TestKasteleyn:
                 assert numeric_pyramid(diamond_even(n), l0).top == expected
 
 
+class TestPreparedRegions:
+    """matching_sum's kept region steps, held to a fresh sweep and to brute
+    force while the weights change between calls."""
+
+    @pytest.mark.parametrize(
+        "cells, route",
+        [
+            (random_dominoes(rectangle_region(6, 6), Random(424)), "_run_plan"),
+            (square_region(10), "_kasteleyn_sum"),
+        ],
+        ids=["swept", "determinant"],
+    )
+    def test_weights_change_between_calls(self, cells, route):
+        assert tilings._evaluator(cells).func is getattr(tilings, route)
+        rng = Random(425)
+        first = nonzero_weights(cells, rng)
+        second = with_zeros(nonzero_weights(cells, rng), rng)
+        assert 0 in second.values() and min(second.values()) < 0
+        for weights in (first, None, second, first):
+            expected = tilings._sweep_sum(cells, weights)
+            if len(cells) <= 36:
+                assert expected == matching_sum_brute(cells, weights)
+            assert matching_sum(cells, weights) == expected
+
+    def test_equal_regions_share_their_step(self):
+        cells = ORDER_SHAPES["diagonal band"]
+        copy = frozenset(sorted(cells))
+        assert copy is not cells
+        weights = nonzero_weights(cells, Random(426))
+        expected = matching_sum_brute(cells, weights)
+        assert matching_sum(cells, weights) == matching_sum(copy, weights) == expected
+        assert matching_sum(set(cells), weights) == expected
+        assert tilings._evaluator(copy) is tilings._evaluator(cells)
+
+    def test_the_kept_steps_stay_bounded(self):
+        kept = tilings._evaluator.cache_info().maxsize
+        assert kept is not None
+        previous, count = 1, 1  # tilings of the 2-by-0 and 2-by-1 strips
+        for width in range(2, 3 * kept):
+            previous, count = count, count + previous
+            assert count_tilings(rectangle_region(2, width)) == count
+            assert tilings._evaluator.cache_info().currsize <= kept
+
+
 class TestWindowRegions:
     def test_trimmed_diamond_is_a_translated_square(self):
         for n in range(1, 5):
@@ -684,12 +751,20 @@ class TestCondensationIdentity:
             assert matching_sum(cells, weights) == matching_sum_brute(cells, weights)
 
     def test_trials_draw_their_weights_in_order(self):
-        checks = kuo_trials(3, 4, Random(412))
-        rng = Random(412)
-        assert checks == [kuo_identity_check(3)] + [
-            kuo_identity_check(3, random_edge_weights(3, rng)) for _ in range(4)
-        ]
-        assert all(check.holds for check in checks)
+        # Up to order 8 every sum is swept; at order 9 the whole diamond
+        # goes to the determinant and its sub-diamonds stay on the sweep.
+        for order, whole_route in ((3, "_run_plan"), (8, "_run_plan"), (9, "_kasteleyn_sum")):
+            checks = kuo_trials(order, 4, Random(412))
+            rng = Random(412)
+            assert checks == [kuo_identity_check(order)] + [
+                kuo_identity_check(order, random_edge_weights(order, rng)) for _ in range(4)
+            ]
+            assert all(check.holds for check in checks)
+            whole = tilings._evaluator(aztec_region(order))
+            assert whole.func is getattr(tilings, whole_route)
+            for which in SUB_DIAMOND_OFFSETS:
+                sub = tilings._evaluator(sub_diamond_cells(order, which))
+                assert sub.func is tilings._run_plan
         assert kuo_trials(2, 0, rng) == [kuo_identity_check(2)]
 
     def test_holds_flag_reports_disagreement(self):

@@ -13,12 +13,19 @@ sum_s b_rs * popcount(profile >> (s+1)), depends only on the profile and
 the row.  One table per size maps each profile to its admissible rows
 with their next profile, inv_r and neg_r (the row's -1 count); tables up
 to size MAX_CACHED_SIZE = 8 stay cached.  Every sum over ASMs (the count,
-the summation formula, the expanded term count, the masked-sum histogram
-as a polynomial in t) is one _fold over the table; min_region_sum is a
-min-plus fold, since it returns a witness.  A fold costs (3^n - 1)/2
-transitions, not the count: size 9 (911835460 ASMs) takes hundredths of
-a second, and MAX_TRANSITIONS admits size 12 (under a second, about
-70 MB, freed after the fold) and refuses 13 with TableTooLarge.  Only
+the summation formula, the expanded term count, the masked-sum
+histogram) is one _fold over the table, of sparse integer vectors: each
+profile holds a dict from an int key to an int coefficient, and a row's
+weight is a few (key offset, coefficient) pairs, so a transition adds
+v * c at key k + dk and builds no ring value.  The count keys everything
+at 0, the histogram at the masked sum, and the summation formula at
+t-exponent * S + l-exponent, for a bound S above every l-exponent, with
+integral coefficients (see lambda_det_sum); only its result becomes a
+LaurentPoly.  min_region_sum is a min-plus fold, since it returns a
+witness.  A fold costs (3^n - 1)/2 transitions, not the count: size 9
+(911835460 ASMs) takes hundredths of a second, and MAX_TRANSITIONS
+admits size 12 (about a second, about 70 MB, freed after the fold) and
+refuses 13 with TableTooLarge.  Only
 enumerate_asms lists matrices, for `asm enumerate|stats` and as the
 tests' oracle; it refuses sizes above its cap argument, 7 by default.
 """
@@ -26,6 +33,7 @@ tests' oracle; it refuses sizes above its cap argument, 7 by default.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -38,7 +46,7 @@ from .errors import (
     SizeMismatch,
     TableTooLarge,
 )
-from .laurent import LAM, ONE, ONE_PLUS_LAM, LaurentPoly
+from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 
 ASM = tuple[tuple[int, ...], ...]
@@ -134,28 +142,35 @@ def _build_table(n: int) -> dict[int, tuple[Transition, ...]]:
 _cached_table = cache(_build_table)
 
 
-def _fold(n: int, start, weight):
-    """Sum over all n-by-n ASMs of start * prod_r weight(r, row, inv_r, neg_r).
+def _fold(table: dict[int, tuple[Transition, ...]], weight) -> dict[int, int]:
+    """Sum over all ASMs of the table's size of prod_r weight(r, row, inv_r, neg_r).
 
-    One accumulated value per profile, extended a row at a time.  Every
-    transition is weighed, zero or not, so a weight that raises for some
-    row raises whenever an ASM contains that row.
+    Values are sparse integer vectors, dicts from an int key to an int
+    coefficient, and a weight is a few (key offset, coefficient) pairs:
+    keys add where the ring's monomials multiply.  One vector per
+    profile, extended a row at a time.  Every transition is weighed, zero
+    or not, so a weight that raises for some row raises whenever an ASM
+    contains that row.
     """
-    table = _table(n)
-    states = {0: start}
-    for r in range(n):
-        new: dict = {}
-        for profile, acc in states.items():
+    states = {0: {0: 1}}
+    # The profiles run from 0 to 2^n - 2, so len(table) is the all-ones one.
+    for r in range(len(table).bit_length()):
+        new: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for profile, vector in states.items():
+            items = tuple(vector.items())
             for row, nxt, inv, neg in table[profile]:
-                term = acc * weight(r, row, inv, neg)
-                new[nxt] = new[nxt] + term if nxt in new else term
+                target = new[nxt]
+                for dk, c in weight(r, row, inv, neg):
+                    for k, v in items:
+                        k += dk
+                        target[k] = target.get(k, 0) + v * c
         states = new
-    return states[(1 << n) - 1]
+    return states[len(table)]
 
 
 def count_asms(n: int) -> int:
     """Number of n-by-n ASMs, by the profile fold."""
-    return _fold(n, 1, lambda r, row, inv, neg: 1)
+    return _fold(_table(n), lambda r, row, inv, neg: ((0, 1),))[0]
 
 
 def asm_count_formula(n: int) -> int:
@@ -223,31 +238,42 @@ def asm_stats(asm: ASM) -> ASMStats:
     return ASMStats(inversions, negatives)
 
 
-def _coefficient_weights(matrix: PolyMatrix) -> list[list[int]]:
-    """u per entry: |c| for a monomial c*t^e with int c, else 1."""
-    weights = []
-    for row in matrix.rows:
-        line = []
-        for cell in row:
-            mono = cell.as_monomial()
-            line.append(abs(mono[0]) if mono and isinstance(mono[0], int) else 1)
-        weights.append(line)
-    return weights
+def _entry_weights(cell: LaurentPoly, span: int) -> tuple:
+    """u, u * cell and u / cell for one entry, as (key offset, int) pairs,
+    so that entry[b] is the entry's weight under b (entry[-1] the last).
 
-
-def _scaled_inverse(value: LaurentPoly, scale: int) -> LaurentPoly:
-    """scale / value for an invertible monomial entry."""
-    mono = value.as_monomial()
+    A monomial p/q l^k t^e has u = |p| q, so u * cell is p |p| l^k t^e
+    and, for k = 0, u / cell is sign(p) q^2 t^-e.  Any other entry has
+    u = the lcm of its denominators.  Only a monomial free of l has an
+    inverse; for any other entry u / cell is None.
+    """
+    mono = cell.as_monomial()
     if mono is None:
-        if value.is_zero():
-            raise DivisionByZero("matrix entry 0 raised to a negative power")
-        raise NonMonomialEntry(
-            "entry %s is not a monomial, so it has no inverse in the ring" % value
-        )
+        unit = math.lcm(*(Fraction(c).denominator for _l, _t, c in cell.terms()))
+        direct = tuple((t * span + l, int(c * unit)) for l, t, c in cell.terms())
+        return ((0, unit),), direct, None
     coeff, l_exp, t_exp = mono
-    if l_exp:
-        raise NonMonomialEntry("entry %s with a positive l-power has no inverse" % value)
-    return LaurentPoly.monomial(Fraction(scale) / Fraction(coeff), 0, -t_exp)
+    p, q = Fraction(coeff).as_integer_ratio()
+    inverse = None if l_exp else ((-t_exp * span, q * q if p > 0 else -q * q),)
+    return ((0, abs(p) * q),), ((t_exp * span + l_exp, p * abs(p)),), inverse
+
+
+def _row_product(entries, cells, row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """prod_j u_j M_j^b_j over one matrix row, as (key, coefficient) pairs."""
+    product = {0: 1}
+    for entry, cell, b in zip(entries, cells, row):
+        if entry[b] is None:
+            if cell.is_zero():
+                raise DivisionByZero("matrix entry 0 raised to a negative power")
+            raise NonMonomialEntry("entry %s %s" % (cell, (
+                "with a positive l-power has no inverse" if cell.as_monomial()
+                else "is not a monomial, so it has no inverse in the ring")))
+        out: dict[int, int] = {}
+        for dk, c in entry[b]:
+            for k, v in product.items():
+                out[k + dk] = out.get(k + dk, 0) + v * c
+        product = out
+    return tuple(product.items())
 
 
 def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
@@ -257,45 +283,45 @@ def lambda_det_sum(matrix: PolyMatrix) -> LaurentPoly:
     -1 must be invertible monomials.  Agrees with the condensation
     recurrence wherever both are defined.
 
-    Folded over profiles: row r contributes
-    l^(inv_r - neg_r) (1+l)^neg_r prod_j M_rj^b_rj, a polynomial in l
-    because inv_r >= neg_r (the +1 left of each -1 outweighs it).  Each
-    row's weight is scaled by prod_j u_rj, with u = |c| for an entry c*t^e
-    with an int c and 1 for any other entry, so a -1 on such an entry
-    contributes sign(c) t^-e and the fold's values keep denominator 1; the
-    sum is divided by the product of all u at the end.
+    Folded over profiles as sparse integer vectors, the monomial
+    c t^a l^b being coefficient c at key a*S + b.  Keys decode by
+    divmod(key, S) as long as every l-exponent a state holds lies in
+    [0, S).  Row r contributes l^(inv_r - neg_r) (1+l)^neg_r
+    prod_j M_rj^b_rj, a polynomial in l of degree at most r plus the
+    l-degrees of the entries under its +1s (inv_r <= r, since each -1's
+    share cancels at least that of the +1 right of it), so
+    S = 1 + n(n-1)/2 + the sum of every entry's l-degree will do.  Each
+    entry is scaled by a unit u that keeps the fold integral:
+    u = |p| q for a monomial p/q t^e (p/q in lowest terms), so that a -1
+    on it contributes sign(p) q^2 t^-e, and the lcm of its denominators
+    for any other entry.  The product of a row's scaled entries is kept
+    per (r, row); a transition shifts it by inv_r - neg_r and convolves
+    it with the binomial row of (1+l)^neg_r.  The sum is divided by the
+    product of all u at the end.
     """
-    units = _coefficient_weights(matrix)
+    n = matrix.size
+    table = _table(n)
+    span = 1 + n * (n - 1) // 2 + sum(
+        max(l for l, _t, _c in cell.terms()) for row in matrix.rows for cell in row if cell
+    )
+    entries = [[_entry_weights(cell, span) for cell in row] for row in matrix.rows]
+    binomials = [tuple((i, math.comb(k, i)) for i in range(k + 1)) for k in range(n)]
+    products: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
 
-    @cache
-    def product(r: int, row: tuple[int, ...]) -> LaurentPoly:
-        value = ONE
-        scale = 1
-        for j, b in enumerate(row):
-            if b == -1:
-                value = value * _scaled_inverse(matrix.rows[r][j], units[r][j])
-            else:
-                scale *= units[r][j]
-                if b == 1:
-                    value = value * matrix.rows[r][j]
-        return value * scale if scale != 1 else value
+    def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> list[tuple[int, int]]:
+        product = products.get((r, row))
+        if product is None:
+            product = products[(r, row)] = _row_product(entries[r], matrix.rows[r], row)
+        return [(k + inv - neg + i, c * m) for k, c in product for i, m in binomials[neg]]
 
-    @cache
-    def power(exponent: int, neg: int) -> LaurentPoly:
-        return LAM**exponent * ONE_PLUS_LAM**neg
-
-    @cache
-    def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
-        return power(inv - neg, neg) * product(r, row)
-
-    total = _fold(matrix.size, ONE, weight)
-    return total * Fraction(1, math.prod(u for line in units for u in line))
+    total = LaurentPoly((c, k % span, k // span) for k, c in _fold(table, weight).items())
+    return total * Fraction(1, math.prod(e[0][0][1] for line in entries for e in line))
 
 
 def expanded_term_count(matrix_size: int) -> int:
     """Number of monomials when every (1+l)^N(B) factor is distributed out,
     i.e. the sum of 2^N(B) over all ASMs of the given size."""
-    return _fold(matrix_size, 1, lambda r, row, inv, neg: 1 << neg)
+    return _fold(_table(matrix_size), lambda r, row, inv, neg: ((0, 1 << neg),))[0]
 
 
 # -- masked partial sums ------------------------------------------------
@@ -379,13 +405,9 @@ def min_region_sum(n: int, cells: Iterable[tuple[int, int]]) -> tuple[int, ASM]:
 def region_sum_counts(n: int, cells: Iterable[tuple[int, int]]) -> dict[int, int]:
     """How many n-by-n ASMs give each value of region_sum, by value.
 
-    The fold of the generating polynomial sum_B t^region_sum(B), whose
-    t-exponents (negative ones included) are the values.
+    The fold keyed by the masked sum, each row adding its own share;
+    values ascend and none has a zero count.
     """
     columns = _cells_by_row(n, cells)
-
-    def weight(r: int, row: tuple[int, ...], inv: int, neg: int) -> LaurentPoly:
-        return LaurentPoly.monomial(1, 0, sum(row[j] for j in columns[r]))
-
-    poly = _fold(n, ONE, weight)
-    return {value: count for _l, value, count in poly.terms()}
+    counts = _fold(_table(n), lambda r, row, *_: ((sum(row[j] for j in columns[r]), 1),))
+    return dict(sorted(counts.items()))

@@ -628,11 +628,15 @@ def _kuo_regions(
     return whole, parts, tuple(tip_edges(order).values()), tuple(region_edges(whole))
 
 
+# _EDGE_WEIGHTS[p][q - 1] is p/q, every weight random_edge_weights can draw.
+_EDGE_WEIGHTS = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(10))
+
+
 def random_edge_weights(order: int, rng: Random) -> dict[Edge, Fraction]:
-    """Non-negative rational weights for every edge of the order-n diamond,
-    drawn in region_edges order."""
+    """Non-negative rational weights p/q, p in 0..9 and q in 1..4, for
+    every edge of the order-n diamond, drawn in region_edges order."""
     *_, edges = _kuo_regions(order)
-    return {edge: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for edge in edges}
+    return {edge: _EDGE_WEIGHTS[rng.randint(0, 9)][rng.randint(1, 4) - 1] for edge in edges}
 
 
 def kuo_trials(order: int, trials: int, rng: Random) -> list[KuoCheck]:

@@ -323,6 +323,35 @@ class TestRegionSums:
         assert region_sum(witness, complement_cells(diamond_odd(3))) == 8
 
 
+def mixed_matrix(n: int, rng: Random, border_l: bool) -> PolyMatrix:
+    """Monomials p/q t^e with p of either sign, q up to 4 and e from -2 to
+    2.  The border, where no ASM has a -1, also holds zeros and, with
+    border_l, sums of up to three t-terms carrying l^0 to l^5."""
+
+    def monomial() -> LaurentPoly:
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4))
+        return LaurentPoly.monomial(coeff, 0, rng.randint(-2, 2))
+
+    def border() -> LaurentPoly:
+        roll = rng.random()
+        if roll < 0.2:
+            return LaurentPoly()
+        if border_l and roll < 0.7:
+            return LaurentPoly(
+                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), l_exp, rng.randint(-2, 2))
+                for l_exp in [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
+            )
+        return monomial()
+
+    edge = {0, n - 1}
+    return PolyMatrix(
+        tuple(
+            tuple(border() if i in edge or j in edge else monomial() for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
 class TestProfileFoldAgainstEnumeration:
     """The profile folds against sums built here from enumerate_asms."""
 
@@ -334,11 +363,13 @@ class TestProfileFoldAgainstEnumeration:
             term = LAM ** (inversions - negatives) * ONE_PLUS_LAM**negatives
             for i, row in enumerate(asm):
                 for j, b in enumerate(row):
-                    coeff, l_exp, t_exp = matrix.rows[i][j].as_monomial()
-                    assert l_exp == 0
-                    term = term * LaurentPoly.monomial(
-                        Fraction(coeff) ** b, 0, t_exp * b
-                    )
+                    entry = matrix.rows[i][j]
+                    if b == 1:
+                        term = term * entry
+                    elif b == -1:
+                        coeff, l_exp, t_exp = entry.as_monomial()
+                        assert l_exp == 0
+                        term = term * LaurentPoly.monomial(1 / Fraction(coeff), 0, -t_exp)
             total = total + term
         return total
 
@@ -347,6 +378,42 @@ class TestProfileFoldAgainstEnumeration:
         for n in (1, 2, 3, 4, 4, 5, 5, 5):
             matrix = random_monomial_matrix(n, rng)
             assert lambda_det_sum(matrix) == self.enumerated_lambda_sum(matrix)
+
+    def test_lambda_det_sum_on_every_allowed_entry_kind(self):
+        rng = Random(23)
+        kinds = set()
+        for n in (1, 2, 3, 3, 4, 4, 5, 5):
+            for border_l in (False, True):
+                matrix = mixed_matrix(n, rng, border_l)
+                assert lambda_det_sum(matrix) == self.enumerated_lambda_sum(matrix)
+                for cell in (cell for row in matrix.rows for cell in row):
+                    size = cell.term_count
+                    kinds.add("zero" if size == 0 else "sum" if size > 1 else "mono")
+                    for l_exp, t_exp, coeff in cell.terms():
+                        kinds.add("l^5" if l_exp == 5 else "l^<5")
+                        kinds.add("t^-" if t_exp < 0 else "t^+")
+                        kinds.add("p<0" if coeff < 0 else "p>0")
+                        kinds.add("p/q" if isinstance(coeff, Fraction) else "int")
+        assert kinds >= {"zero", "sum", "mono", "l^5", "t^-", "p<0", "p/q"}
+
+    def test_l_degree_reaches_its_bound(self):
+        # The anti-diagonal ASM alone has n(n-1)/2 inversions and puts its
+        # corner +1s on the two l-carrying entries, so the sum's l-degree
+        # is n(n-1)/2 + 10: the largest l-exponent the fold allows for.
+        corner = LaurentPoly([(2, 5, 1), (Fraction(-1, 3), 5, -2), (1, 0, 0)])
+        rng = Random(24)
+        for n in (2, 3, 4, 5):
+            rows = [list(row) for row in mixed_matrix(n, rng, border_l=False).rows]
+            rows[0][n - 1] = rows[n - 1][0] = corner
+            matrix = PolyMatrix(tuple(map(tuple, rows)))
+            total = lambda_det_sum(matrix)
+            assert total == self.enumerated_lambda_sum(matrix)
+            assert max(l for l, _t, _c in total.terms()) == n * (n - 1) // 2 + 10
+        # One row can put +1s on two l-carrying entries: degree 5 + 5 + 2 here.
+        both_ends = PolyMatrix.from_rows([[1, 1, 1], ["1*l^5", 1, "1*l^5"], [1, 1, 1]])
+        total = lambda_det_sum(both_ends)
+        assert total == self.enumerated_lambda_sum(both_ends)
+        assert max(l for l, _t, _c in total.terms()) == 12
 
     def test_expanded_term_count(self):
         for n in range(1, 7):
@@ -378,3 +445,35 @@ class TestProfileFoldAgainstEnumeration:
             min_region_sum(3, [(4, 1)])
         with pytest.raises(SizeMismatch, match="outside"):
             region_sum_counts(3, [(0, 2)])
+
+
+class TestVectorFoldKernel:
+    """The folds work on int vectors: no ring arithmetic per transition."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict[str, int]:
+        calls = {"mul": 0, "add": 0}
+        for kind in ("mul", "add"):
+            for name in ("__%s__" % kind, "__r%s__" % kind):
+
+                def counting(self, other, original=getattr(LaurentPoly, name), kind=kind):
+                    calls[kind] += 1
+                    return original(self, other)
+
+                monkeypatch.setattr(LaurentPoly, name, counting)
+        return calls
+
+    def test_lambda_det_sum_scales_once(self, monkeypatch):
+        matrix = random_monomial_matrix(5, Random(3))
+        expected = TestProfileFoldAgainstEnumeration.enumerated_lambda_sum(matrix)
+        calls = self.counted(monkeypatch)
+        total = lambda_det_sum(matrix)
+        assert calls["mul"] <= 1 and calls["add"] == 0
+        assert total == expected
+
+    def test_region_sum_counts_uses_no_ring_arithmetic(self, monkeypatch):
+        cells = mask_cells(diamond_odd(3))
+        calls = self.counted(monkeypatch)
+        counts = region_sum_counts(7, cells)
+        assert calls == {"mul": 0, "add": 0}
+        assert list(counts) == sorted(counts) and all(counts.values())

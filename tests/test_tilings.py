@@ -750,6 +750,15 @@ class TestCondensationIdentity:
             cells = sub_diamond_cells(2, which)
             assert matching_sum(cells, weights) == matching_sum_brute(cells, weights)
 
+    def test_edge_weights_are_the_fractions_of_the_stream(self):
+        rng, ref = Random(413), Random(413)
+        for order in (2, 5):
+            weights = random_edge_weights(order, rng)
+            assert list(weights) == list(region_edges(aztec_region(order)))
+            expected = [Fraction(ref.randint(0, 9), ref.randint(1, 4)) for _ in weights]
+            assert list(weights.values()) == expected
+        assert rng.random() == ref.random()
+
     def test_trials_draw_their_weights_in_order(self):
         # Up to order 8 every sum is swept; at order 9 the whole diamond
         # goes to the determinant and its sub-diamonds stay on the sweep.

@@ -36,16 +36,40 @@ perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
 by t, runs an engine (condensation, or the sum over alternating-sign
 matrices) and lets t -> 0.
 
-A matrix and its transpose share the same pyramid up to reflection.  So
-does a matrix and its half-turn (i, j) -> (n+1-i, n+1-j): the turn swaps
-nw with se and ne with sw, which leaves nw*se + l*ne*sw unchanged, so the
-window at (i, j) of the turned matrix has the value of the window at
-(span+1-i, span+1-j) of the matrix.  For input equal to its transpose
-(symmetric) or to its half-turn (centrosymmetric), as every diamond is,
-each layer is computed once per orbit of those symmetries, the first
-window of each orbit in reading order, and copied to the others.  A
-zero divisor is met at the same window as without the shortcut: the
-divisors of an orbit are equal, and its first window comes first.
+Each numerator nw * se + l * ne * sw is laurent.det2, which forms long
+values' two products in one packed pass.
+
+Symmetry.  The dihedral group of the square acts on a matrix and on its
+windows.  Its even half (identity, transpose, half-turn, anti-transpose)
+keeps every window's value: the transpose and the half-turn leave
+nw * se + l * ne * sw unchanged.  Its odd half (row reversal, column
+reversal, the two quarter turns, each an even element followed by a row
+reversal) l-reverses it: for a k-by-k window W whose entries hold no l,
+reversing W's rows gives l^C(k,2) * v(W)(1/l), v.l_reversed(C(k, 2))
+(Robbins and Rumsey's expansion of det_l says so too).  By induction
+on k, with rev_d(x) = x.l_reversed(d): reversing the rows swaps nw
+with sw and ne with se and reverses each of them, so the numerator
+becomes rev(sw) * rev(ne) + l * rev(se) * rev(nw), which is
+rev_(2 C(k-1, 2) + 1)(nw * se + l * ne * sw); the divisor becomes
+rev_C(k-2, 2) of the centre, and the quotient is rev at degree
+2 C(k-1, 2) + 1 - C(k-2, 2) = C(k, 2).  The induction starts at k = 1,
+where rev_0 keeps an entry only if it holds no l, and l-reversal means
+nothing once l is fixed; so the odd half is used only when lam is the
+variable l and no entry holds l, and otherwise the even half alone.
+
+_condense computes each layer once per orbit of the elements that fix
+the matrix, at the orbit's first window in reading order, and stores at
+each other window the value (even elements) or its l-reversal (odd).
+Every diamond is fixed by the whole group and holds no l, so the order-6
+diamond divides 70 times, where the transpose and half-turn alone would
+leave 125.  A window that an odd element fixes needs one product: that element
+maps nw * se to ne * sw up to rev at degree 2 C(k-1, 2), so with
+Q = nw * se the numerator is Q + Q.l_reversed((k-1)(k-2) + 1).  A zero
+divisor is met at the same window as without the shortcut: the divisors
+of an orbit are equal or l-reversals of each other, l-reversal keeps
+zero and nonzero alike, and the orbit's first window comes first.  So is
+an inexact division: l-reversal permutes l-coefficients, so the values
+of an orbit lie in the ring, or out of it, together.
 
 An ASM's -1 entries put inverses of entries into a window's value, so a
 monomial entry c*t^e with |c| > 1 gives it 1/c coefficients.  The ring
@@ -60,7 +84,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import IndeterminateForm, InexactDivision, LambdaDetError, PoleAtZero, ZeroMinor
-from .laurent import LAM, LaurentPoly, Rational
+from .laurent import LAM, LaurentPoly, Rational, det2
 from .matrices import PolyMatrix
 
 
@@ -121,12 +145,44 @@ def _negative_l_power(numerator: LaurentPoly, divisor: LaurentPoly) -> str:
         _l_order(numerator) - m)
 
 
+# The dihedral group of the square on the cells (i, j) of a grid whose last
+# index is m, the identity first, each element with whether it is odd: it
+# carries the main diagonal onto the anti-diagonal, and so l-reverses the
+# lambda-determinant of every window it moves (module docstring).
+_D4 = (
+    (lambda i, j, m: (i, j), False),
+    (lambda i, j, m: (j, i), False),  # transpose
+    (lambda i, j, m: (m - i, m - j), False),  # half-turn
+    (lambda i, j, m: (m - j, m - i), False),  # anti-transpose
+    (lambda i, j, m: (m - i, j), True),  # row reversal
+    (lambda i, j, m: (i, m - j), True),  # column reversal
+    (lambda i, j, m: (j, m - i), True),  # quarter turn
+    (lambda i, j, m: (m - j, i), True),  # quarter turn back
+)
+
+
+def _symmetries(matrix: PolyMatrix, lam) -> list[tuple[Callable, bool]]:
+    """The elements of _D4 that fix matrix.  The odd ones only when lam is
+    the variable l and no entry holds l, the case where they l-reverse."""
+    rows, m = matrix.rows, matrix.size - 1
+    reversing = lam == LAM and all(not cell.max_l_exp() for row in rows for cell in row)
+    return [
+        (move, odd) for move, odd in _D4
+        if (reversing or not odd) and all(
+            rows[a][b] == cell
+            for i, row in enumerate(rows)
+            for j, cell in enumerate(row)
+            for a, b in (move(i, j, m),)
+        )
+    ]
+
+
 def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...]]:
     """Yield the layers of matrix's pyramid in order, each once it is complete.
 
-    Each window is computed once per orbit of the matrix's symmetries
-    (transpose, half-turn) and copied to the rest of its orbit."""
-    symmetric, centrosymmetric = matrix.is_symmetric(), matrix.is_centrosymmetric()
+    Each window is computed once per orbit of the elements of _D4 that fix
+    the matrix, and copied, or l-reversed, to the rest of its orbit."""
+    symmetries = _symmetries(matrix, lam)
     n = matrix.size
     below = None
     prev = matrix.rows
@@ -139,9 +195,14 @@ def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...
             for j in range(span):
                 if grid[i][j] is not None:
                     continue
-                numerator = (
-                    prev[i][j] * prev[i + 1][j + 1] + lam * prev[i][j + 1] * prev[i + 1][j]
-                )
+                if any(odd and move(i, j, last) == (i, j) for move, odd in symmetries):
+                    # An odd element fixing the window makes ne * sw the
+                    # l-reversal of nw * se at degree 2 * C(k-1, 2).
+                    product = prev[i][j] * prev[i + 1][j + 1]
+                    numerator = product + product.l_reversed((k - 1) * (k - 2) + 1)
+                else:
+                    numerator = det2(prev[i][j], prev[i][j + 1], prev[i + 1][j],
+                                     prev[i + 1][j + 1], lam)
                 if below is None:
                     value = numerator
                 else:
@@ -161,13 +222,13 @@ def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...
                             % (_window(k, i + 1, j + 1), _window(k - 2, i + 2, j + 2),
                                _negative_l_power(numerator, divisor), exc)
                         ) from exc
-                grid[i][j] = value
-                if symmetric:
-                    grid[j][i] = value
-                if centrosymmetric:
-                    grid[last - i][last - j] = value
-                    if symmetric:
-                        grid[last - j][last - i] = value
+                reversed_value = None
+                for move, odd in symmetries:
+                    a, b = move(i, j, last)
+                    if grid[a][b] is None:
+                        if odd and reversed_value is None:
+                            reversed_value = value.l_reversed(k * (k - 1) // 2)
+                        grid[a][b] = reversed_value if odd else value
         below, prev = prev, tuple(tuple(row) for row in grid)
         yield prev
 

@@ -40,15 +40,23 @@ coefficients, where m is the smaller of the operands' longest slices
 
     B = bitlen(max|a| * max|b| * m * s) + 2.
 
-Every slice holds ints, so a product whose operands hold more than
-DICT_MAX_TERMS terms each, rational or not, packs every slice once,
-multiplies the slices pairwise, sums the products per output t-exponent
-and unpacks each output slice once.  A smaller product, where packing
-costs more than it saves, takes the dict loop over pairs of terms.
-DICT_MAX_TERMS = 8 comes from timing both paths on every product of the
-benchmark's diamond and ASM workloads, grouped by the smaller operand's
-term count: the dict loop won up to 6 terms, whatever the number of
-slices, the two were even from 7 to 17, and packing won beyond.
+One kernel, _packed_sum, forms a sum of such products, each times an
+int factor and a power l^shift (a shift of B * shift bits, packed): its
+width adds the terms' bounds, |factor| * max|a| * max|b| * m * s, and
+each output t-slice is unpacked once for the whole sum.  Every slice
+holds ints, so a product whose operands hold more than DICT_MAX_TERMS
+terms each, rational or not, is that kernel with one term: it packs
+every slice once, multiplies the slices pairwise, sums the products per
+output t-exponent and unpacks each output slice once.  A smaller
+product, where packing costs more than it saves, takes the dict loop
+over pairs of terms.  DICT_MAX_TERMS = 8 comes from timing both paths
+on every product of the benchmark's diamond and ASM workloads, grouped
+by the smaller operand's term count: the dict loop won up to 6 terms,
+whatever the number of slices, the two were even from 7 to 17, and
+packing won beyond.  det2 forms condensation's numerator
+nw * se + lam * ne * sw, for a monomial lam and operands past the same
+cut-off, as the kernel with two terms over their common denominator,
+where the expression would unpack each product and add the two in dicts.
 
 Exact division is long division in t over Z[l], one quotient slice at a
 time (see exact_div), after the divisor's content (the gcd of its
@@ -182,20 +190,25 @@ def _unpack(packed: int, width: int) -> list[int]:
     return digits
 
 
-def _packed_product(
-    a: Slices, b: Slices, shape_a: tuple[int, int], shape_b: tuple[int, int]
-) -> Slices:
-    """a * b for int slices: one bigint product per pair of t-slices."""
-    # An output coefficient sums at most m * s products of two input
-    # coefficients, m the shorter longest slice and s the fewer slices.
-    bound = shape_a[0] * shape_b[0] * min(shape_a[1], shape_b[1]) * min(len(a), len(b))
+def _packed_sum(terms: list[tuple[int, int, Slices, Slices]]) -> Slices:
+    """The sum of factor * l^shift * a * b over terms (factor, shift, a, b),
+    for int slices: one bigint product per pair of t-slices, one width for
+    the whole sum, and one unpack per output t-slice."""
+    # An output coefficient of a * b sums at most m * s products of two
+    # input coefficients, m the shorter longest slice and s the fewer
+    # slices; the sum's bound adds the terms' bounds.
+    bound = 0
+    for factor, _shift, a, b in terms:
+        (top_a, len_a), (top_b, len_b) = _int_shape(a), _int_shape(b)
+        bound += abs(factor) * top_a * top_b * min(len_a, len_b) * min(len(a), len(b))
     width = bound.bit_length() + 2
-    packed_a = [(t, _pack(row.items(), width)) for t, row in a.items()]
     sums: dict[int, int] = {}
-    for tb, row in b.items():
-        pb = _pack(row.items(), width)
-        for ta, pa in packed_a:
-            sums[ta + tb] = sums.get(ta + tb, 0) + pa * pb
+    for factor, shift, a, b in terms:
+        packed_a = [(t, _pack(row.items(), width)) for t, row in a.items()]
+        for tb, row in b.items():
+            pb = (_pack(row.items(), width) * factor) << (width * shift)
+            for ta, pa in packed_a:
+                sums[ta + tb] = sums.get(ta + tb, 0) + pa * pb
     out: Slices = {}
     for t, packed in sums.items():
         row = {l_exp: c for l_exp, c in enumerate(_unpack(packed, width)) if c}
@@ -287,6 +300,10 @@ class LaurentPoly:
     def max_t_exp(self) -> int:
         return max(self._slices, default=0)
 
+    def max_l_exp(self) -> int:
+        """Largest l-exponent present (the l-degree), 0 for the zero polynomial."""
+        return max(map(max, self._slices.values()), default=0)
+
     def as_monomial(self) -> tuple[Rational, int, int] | None:
         """Return (coeff, l_exp, t_exp) if this is a single term, else None."""
         if len(self._slices) == 1:
@@ -368,7 +385,7 @@ class LaurentPoly:
             return ZERO
         den = self._den * rhs._den
         if min(_term_count(a), _term_count(b)) > DICT_MAX_TERMS:
-            out = _packed_product(a, b, _int_shape(a), _int_shape(b))
+            out = _packed_sum([(1, 0, a, b)])
         else:
             out = {}
             for tb, row_b in b.items():
@@ -403,6 +420,21 @@ class LaurentPoly:
             base = base * base if exponent > 1 else base
             exponent >>= 1
         return result
+
+    def l_reversed(self, degree: int) -> "LaurentPoly":
+        """l^degree * self(1/l): each term l^e becomes l^(degree - e).
+
+        It keeps the denominator, so the result is canonical, and applied
+        twice with the same degree it gives self back.  A degree below
+        the l-degree would leave negative l-exponents: ValueError."""
+        if degree < self.max_l_exp():
+            raise ValueError(
+                "cannot reverse l-degree %d at degree %d" % (self.max_l_exp(), degree)
+            )
+        return LaurentPoly._wrap(
+            {t: {degree - l: c for l, c in row.items()} for t, row in self._slices.items()},
+            self._den,
+        )
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
@@ -672,6 +704,31 @@ ONE = LaurentPoly._wrap({0: {0: 1}})
 LAM = LaurentPoly._wrap({0: {1: 1}})
 T_VAR = LaurentPoly._wrap({1: {0: 1}})
 ONE_PLUS_LAM = LaurentPoly._wrap({0: {0: 1, 1: 1}})
+
+
+def det2(
+    nw: LaurentPoly, ne: LaurentPoly, sw: LaurentPoly, se: LaurentPoly, lam: LaurentPoly
+) -> LaurentPoly:
+    """nw * se + lam * ne * sw, the lambda-determinant of [[nw, ne], [sw, se]].
+
+    When lam is a monomial c * l^e free of t (l itself, or a fixed value
+    of l) and every operand holds more than DICT_MAX_TERMS terms, both
+    products are one packed sum over the common denominator (see
+    _packed_sum), and each output t-slice is unpacked once.  Otherwise it
+    is that expression."""
+    mono = lam.as_monomial()
+    if (mono is None or mono[2]
+            or min(x.term_count for x in (nw, ne, sw, se)) <= DICT_MAX_TERMS):
+        return nw * se + lam * ne * sw
+    coeff, shift, _ = mono
+    left = nw._den * se._den
+    right = coeff.denominator * ne._den * sw._den
+    den = lcm(left, right)
+    out = _packed_sum([
+        (den // left, 0, nw._slices, se._slices),
+        (coeff.numerator * (den // right), shift, ne._slices, sw._slices),
+    ])
+    return LaurentPoly._wrap(out) if den == 1 else LaurentPoly._reduced(out, den)
 
 
 def _fraction(text: str) -> Fraction:

@@ -16,7 +16,8 @@ which it limits to 24 cells.  The Kasteleyn determinant (_kasteleyn_sum;
 Kasteleyn, Physica 27, 1961, with the face condition of Kenyon's
 Lectures on dimers) is one fraction-free elimination of a signed sparse
 matrix with a row per black cell: polynomial in the cell count, which it
-limits to MAX_DETERMINANT_CELLS.  matching_sum picks between the two by
+limits to MAX_DETERMINANT_CELLS, and to fewer cells for weights that scale
+to longer ints (check_cells).  matching_sum picks between the two by
 the region's frontier and cell count (see its docstring), so wide and
 fat regions, squares of side 10 and more and Aztec diamonds of order 9
 and more among them, go to the determinant, and thin ones stay on the
@@ -51,6 +52,8 @@ Region = frozenset[Cell]
 MAX_PROFILE_WIDTH = 24
 # The 64x64 square, 4096 cells, takes the determinant about 1.4 s.
 MAX_DETERMINANT_CELLS = 4096
+# cells**2 * bits past this refuses a region with weights of bits bits.
+MAX_WEIGHTED_WORK = (MAX_DETERMINANT_CELLS // 2) ** 2
 MAX_BRUTE_CELLS = 60
 
 
@@ -155,7 +158,8 @@ def matching_sum(
       (rectangle 12x30: 0.14 s and 0.018 s, 0.16 s and 0.087 s).
 
     The determinant refuses a region of more than MAX_DETERMINANT_CELLS
-    cells (CellsExceeded) before it builds its matrix.
+    cells, or a weighted one past check_cells's bound on its scaled
+    weights' bit length (CellsExceeded), before it builds its matrix.
     """
     return _evaluator(frozenset(cells))(weights)
 
@@ -318,13 +322,33 @@ def _sweep(
     return states
 
 
-def check_cells(count: int) -> None:
+def check_cells(count: int, bits: int = 1) -> None:
     """Refuse (CellsExceeded) a region of count cells, past what the
-    determinant takes in seconds."""
+    determinant takes in about a second, when its scaled weights reach
+    bits bits.
+
+    Unweighted entries are +-1, and the minors that the elimination
+    carries count matchings, so they stay short: 4096 cells (the 64x64
+    square) take 1.0 s.  Longer entries make every minor longer.  Timed on
+    even squares with random weights of exactly bits bits (2-CPU host,
+    CPython 3.11), the cell count that takes 1 s is about 1450 / 950 /
+    780 / 570 / 390 at 2 / 4 / 7 / 14 / 30 bits: cells * sqrt(bits) is
+    near 2048 at each, so a region past one bit is refused when
+    cells**2 * bits > MAX_WEIGHTED_WORK = 2048**2.  Weights p/q with p up
+    to 9 and q up to 4 scale to 7 bits, which admits 774 cells: the
+    square of side 26 and the Aztec diamond of order 19, not the square
+    of side 28 (1.0 s) or 40 (4.8 s).
+    """
     if count > MAX_DETERMINANT_CELLS:
         raise CellsExceeded(
             "region has %d cells; the determinant handles at most %d"
             % (count, MAX_DETERMINANT_CELLS)
+        )
+    if bits > 1 and count * count * bits > MAX_WEIGHTED_WORK:
+        raise CellsExceeded(
+            "region has %d cells with %d-bit scaled weights; the determinant "
+            "handles at most %d at that width"
+            % (count, bits, math.isqrt(MAX_WEIGHTED_WORK // bits))
         )
 
 
@@ -359,7 +383,14 @@ def _kasteleyn_sum(
     and otherwise det takes the sign of the all-ones determinant (a sum
     of 0 when that is 0).  Rational weights are scaled to ints by the lcm
     of their denominators, as in the sweep.  Refuses more than
-    MAX_DETERMINANT_CELLS cells (CellsExceeded) before any matrix is built.
+    MAX_DETERMINANT_CELLS cells (CellsExceeded) before any matrix is
+    built.  A weighted region past check_cells's bound on its scaled
+    weights' bit length is refused too, unless no matching avoids its
+    zero weights: the +-1 determinant on its nonzero edges, which the
+    bound does not limit, tells, and the sum is then 0.  So the Kuo
+    checks of random_edge_weights, whose zeros leave no such matching on
+    large Aztec diamonds, still run past order 19 (0.3-1.0 s for three
+    weightings at orders 20-30).
     """
     check_cells(len(cells))
     edges = region_edges(cells)
@@ -372,6 +403,15 @@ def _kasteleyn_sum(
         rows.setdefault(r, []).append(c)
     left_of = {(r, c): k for r, columns in rows.items() for k, c in enumerate(columns)}
     signs = [1 if a[0] == b[0] else 1 - 2 * (left_of[a] % 2) for a, b in edges]
+    try:
+        check_cells(len(cells), max(map(abs, values), default=1).bit_length())
+    except CellsExceeded:
+        # The signs restricted to the nonzero weights count the matchings
+        # that avoid every zero weight, on short entries; with none of
+        # them the sum is 0.
+        if _determinant(cells, edges, [s if w else 0 for s, w in zip(signs, values)]):
+            raise
+        return 0
     total = _determinant(cells, edges, [s * w for s, w in zip(signs, values)])
     if min(values, default=0) >= 0:
         total = abs(total)

@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -594,6 +595,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+def random_weights_json(cells, rng: Random) -> str:
+    """--weights JSON with a weight p/q, p in 1..9 and q in 1..4, on every edge."""
+    return json.dumps([
+        [list(a), list(b), "%d/%d" % (rng.randint(1, 9), rng.randint(1, 4))]
+        for a, b in tilings.region_edges(cells)
+    ])
+
+
 MALFORMED = {
     "lam-zero-denominator": ["det-numeric", "--size-from", "ones:2", "--lam", "1/0"],
     "eval-zero-denominator": ["det", "--size-from", "ones:2", "--eval", "1/0"],
@@ -627,6 +636,10 @@ MALFORMED = {
     "matrix-size-bool": ["det", "--matrix", '{"size": true, "entries": [[1]]}'],
     "tfk-past-the-cell-bound": ["tfk", "600"],
     "tile-past-the-cell-bound": ["tile", "--shape", "square:66"],
+    "tile-weighted-past-the-bit-bound": [
+        "tile", "--shape", "square:40",
+        "--weights", random_weights_json(tilings.square_region(40), Random(40)),
+    ],
 }
 
 

@@ -222,19 +222,52 @@ def count_divisions(monkeypatch, run) -> int:
     return len(calls)
 
 
+def dihedral_orbits(s: int) -> int:
+    """Orbits of the cells of an s-by-s grid under the dihedral group of the
+    square, by Burnside's lemma: of its eight elements the identity fixes
+    s^2 cells, and for even s only the two diagonal mirrors fix any (s
+    each); for odd s the three turns also fix the centre and the two
+    middle-line mirrors fix s cells each."""
+    if s % 2 == 0:
+        return (s * s + 2 * s) // 8
+    return (s * s + 4 * s + 3) // 8
+
+
 class TestOrbitShortcut:
     """Each window is computed once per orbit of the matrix's symmetries."""
 
     def test_diamond_divides_once_per_orbit(self, monkeypatch):
-        # Layers 3-12 of a 12-by-12 matrix are s-by-s grids, s = 10..1.
-        # Transpose, half-turn and anti-transpose leave (s^2 + 2s + s % 2) / 4
-        # orbits of windows: 125 divisions, where the upper triangle alone
-        # would take 220.
-        matrix = diamond_even(6).perturb_zeros()
-        assert matrix.is_symmetric() and matrix.is_centrosymmetric()
-        orbits = sum((s * s + 2 * s + s % 2) // 4 for s in range(1, 11))
-        assert orbits == 125
-        assert count_divisions(monkeypatch, lambda: symbolic_pyramid(matrix)) == 125
+        # Layers 3-2n of a 2n-by-2n diamond are s-by-s grids, s = 2n-2..1.
+        # The diamond is fixed by every symmetry of the square and its
+        # entries hold no l, so each layer divides once per orbit of the
+        # whole dihedral group: 40 and 70 divisions at orders 5 and 6,
+        # where transpose, half-turn and anti-transpose alone left 70 and
+        # 125.
+        for order, divisions in ((5, 40), (6, 70)):
+            matrix = diamond_even(order).perturb_zeros()
+            assert matrix.is_symmetric() and matrix.is_centrosymmetric()
+            assert sum(dihedral_orbits(s) for s in range(1, 2 * order - 1)) == divisions
+            assert count_divisions(monkeypatch, lambda: symbolic_pyramid(matrix)) == divisions
+
+    def test_l_entries_keep_the_even_subgroup_count(self, monkeypatch):
+        # l-reversal needs entries free of l.  With l in border entries a
+        # row-mirror matrix divides at all s^2 windows of an s-by-s grid,
+        # not once per pair of mirrored rows, s * ceil(s / 2); and a matrix
+        # fixed by the whole group divides once per orbit of its even
+        # half (transpose and half-turn), (s^2 + 2s + s % 2) / 4, not once
+        # per orbit of the whole group.
+        rng = Random(2401)
+        cases = [(6, [ROW_REVERSAL], lambda s: s * s, lambda s: s * ((s + 1) // 2)),
+                 (8, [TRANSPOSE, QUARTER_TURN], lambda s: (s * s + 2 * s + s % 2) // 4,
+                  dihedral_orbits)]
+        for n, moves, with_l, without_l in cases:
+            for l_border, orbits in ((True, with_l), (False, without_l)):
+                while True:
+                    matrix = mixed_monomial_matrix(n, rng, moves, l_border)
+                    if l_border == any(cell.max_l_exp() for row in matrix.rows for cell in row):
+                        break
+                expected = sum(orbits(s) for s in range(1, n - 1))
+                assert count_divisions(monkeypatch, lambda: symbolic_pyramid(matrix)) == expected
 
     def test_matrix_without_symmetry_divides_at_every_window(self, monkeypatch):
         matrix = random_monomial_matrix(7, Random(8))
@@ -276,7 +309,7 @@ class TestOrbitShortcut:
         for _ in range(40):
             n = rng.choice((5, 6))
             rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
-            matrix = symmetrized(rows, False, True)
+            matrix = symmetrized(rows, [HALF_TURN])
             if matrix.is_symmetric():
                 continue
             rows = matrix.constant_entries()
@@ -399,32 +432,48 @@ class TestNumericZeroOverZero:
             numeric_pyramid(matrix, 1)
 
 
-def symmetrized(rows: list[list], symmetric: bool, centrosymmetric: bool) -> PolyMatrix:
+# Generators of subgroups of the dihedral group of the square, as maps of
+# the cells (i, j) of a grid whose last index is m.
+def TRANSPOSE(i: int, j: int, m: int) -> tuple[int, int]:
+    return j, i
+
+
+def HALF_TURN(i: int, j: int, m: int) -> tuple[int, int]:
+    return m - i, m - j
+
+
+def ROW_REVERSAL(i: int, j: int, m: int) -> tuple[int, int]:
+    return m - i, j
+
+
+def QUARTER_TURN(i: int, j: int, m: int) -> tuple[int, int]:
+    return j, m - i
+
+
+def symmetrized(rows: list[list], moves) -> PolyMatrix:
     """The matrix whose (i, j) entry is rows' entry at the first cell of
-    (i, j)'s orbit under the transpose and/or the half-turn."""
+    (i, j)'s orbit under the group that moves generate."""
     n = len(rows)
 
     def first(i: int, j: int) -> tuple[int, int]:
         cells = {(i, j)}
-        if symmetric:
-            cells |= {(b, a) for a, b in cells}
-        if centrosymmetric:
-            cells |= {(n - 1 - a, n - 1 - b) for a, b in cells}
-        return min(cells)
+        while True:
+            grown = cells | {move(a, b, n - 1) for a, b in cells for move in moves}
+            if grown == cells:
+                return min(cells)
+            cells = grown
 
     return PolyMatrix.from_rows(
         [[rows[a][b] for a, b in (first(i, j) for j in range(n))] for i in range(n)]
     )
 
 
-def mixed_monomial_matrix(
-    n: int, rng: Random, symmetric: bool = False, centrosymmetric: bool = False
-) -> PolyMatrix:
+def mixed_monomial_matrix(n: int, rng: Random, moves=(), l_border: bool = True) -> PolyMatrix:
     """Monomials c*t^e with c a signed int (unit or not) or a Fraction.
 
-    Entries on the outer border may also carry l: no window has them
-    inside, so no ASM term inverts them.  symmetric and centrosymmetric
-    copy entries across the diagonal and the centre.
+    With l_border, entries on the outer border may also carry l: no window
+    has them inside, so no ASM term inverts them.  The matrix is
+    symmetrized under the group that moves generate.
     """
 
     def entry(i: int, j: int) -> LaurentPoly:
@@ -437,11 +486,58 @@ def mixed_monomial_matrix(
         else:
             coeff = sign * rng.randint(2, 6)
         border = i in (0, n - 1) or j in (0, n - 1)
-        l_exp = rng.randint(1, 2) if border and rng.random() < 0.3 else 0
+        l_exp = rng.randint(1, 2) if l_border and border and rng.random() < 0.3 else 0
         return LaurentPoly.monomial(coeff, l_exp, rng.randint(-1, 2))
 
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
-    return symmetrized(rows, symmetric, centrosymmetric)
+    return symmetrized(rows, moves)
+
+
+def assert_windows_equal_the_asm_sum(matrix: PolyMatrix) -> None:
+    pyramid = symbolic_pyramid(matrix)
+    n = matrix.size
+    for k in range(1, n + 1):
+        for i in range(n - k + 1):
+            for j in range(n - k + 1):
+                window = PolyMatrix(tuple(row[j : j + k] for row in matrix.rows[i : i + k]))
+                assert pyramid.value(k, i + 1, j + 1) == lambda_det_sum(window)
+
+
+class TestDihedralShortcut:
+    """Matrices fixed by a row mirror, by a quarter turn, or by every
+    symmetry of the square: each window, computed, copied or l-reversed,
+    equals the sum over alternating-sign matrices, whether or not border
+    entries hold l (when they do, no mirror or quarter turn is used)."""
+
+    @pytest.mark.parametrize("moves", [[ROW_REVERSAL], [QUARTER_TURN],
+                                       [TRANSPOSE, QUARTER_TURN]],
+                             ids=["mirror", "quarter-turn", "dihedral"])
+    @pytest.mark.parametrize("l_border", [False, True], ids=["l-free", "l-border"])
+    def test_every_window_equals_the_asm_sum(self, moves, l_border):
+        rng = Random(2400 + len(moves) + 10 * l_border)
+        for n in (4, 5, 6):
+            matrix = mixed_monomial_matrix(n, rng, moves, l_border)
+            m = n - 1
+            assert all(matrix.rows[a][b] == matrix.rows[i][j]
+                       for i in range(n) for j in range(n)
+                       for a, b in [move(i, j, m) for move in moves])
+            assert_windows_equal_the_asm_sum(matrix)
+
+    def test_l_reversed_windows_of_a_perturbed_mirror(self):
+        # Zero entries perturbed to t, in a matrix fixed only by a row
+        # mirror: the mirrored windows are l-reversals of each other.
+        rng = Random(2403)
+        rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(6)] for _ in range(6)]
+        matrix = symmetrized(rows, [ROW_REVERSAL]).perturb_zeros()
+        assert not matrix.is_symmetric() and not matrix.is_centrosymmetric()
+        pyramid = symbolic_pyramid(matrix)
+        for k in range(1, 7):
+            span = 7 - k
+            for i in range(1, span + 1):
+                for j in range(1, span + 1):
+                    mirrored = pyramid.value(k, span + 1 - i, j)
+                    assert pyramid.value(k, i, j) == mirrored.l_reversed(k * (k - 1) // 2)
+        assert_windows_equal_the_asm_sum(matrix)
 
 
 class TestIntegerScaledCondensation:
@@ -452,21 +548,13 @@ class TestIntegerScaledCondensation:
     def test_every_window_equals_the_summation_formula(self):
         rng = Random(707)
         matrices = [mixed_monomial_matrix(n, rng) for n in (3, 4, 4, 5, 5, 6)]
-        matrices.append(mixed_monomial_matrix(5, rng, symmetric=True))
-        matrices.append(mixed_monomial_matrix(5, rng, centrosymmetric=True))
-        matrices.append(mixed_monomial_matrix(6, rng, symmetric=True, centrosymmetric=True))
+        matrices.append(mixed_monomial_matrix(5, rng, [TRANSPOSE]))
+        matrices.append(mixed_monomial_matrix(5, rng, [HALF_TURN]))
+        matrices.append(mixed_monomial_matrix(6, rng, [TRANSPOSE, HALF_TURN]))
         assert matrices[-2].is_centrosymmetric() and not matrices[-2].is_symmetric()
         assert matrices[-1].is_centrosymmetric() and matrices[-1].is_symmetric()
         for matrix in matrices:
-            pyramid = symbolic_pyramid(matrix)
-            n = matrix.size
-            for k in range(1, n + 1):
-                for i in range(n - k + 1):
-                    for j in range(n - k + 1):
-                        window = PolyMatrix(
-                            tuple(row[j : j + k] for row in matrix.rows[i : i + k])
-                        )
-                        assert pyramid.value(k, i + 1, j + 1) == lambda_det_sum(window)
+            assert_windows_equal_the_asm_sum(matrix)
 
     def test_integral_coefficients_are_stored_as_ints(self):
         rng = Random(708)

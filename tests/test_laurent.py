@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from lambdadet.errors import (
     InexactDivision,
     PoleAtZero,
 )
+from lambdadet import laurent
 from lambdadet.laurent import (
+    DICT_MAX_TERMS,
     LAM,
     MAX_T_SPAN,
     ONE,
@@ -24,6 +27,7 @@ from lambdadet.laurent import (
     ZERO,
     LaurentPoly,
     coerce_entry,
+    det2,
     parse_rational,
 )
 
@@ -321,6 +325,86 @@ class TestPackedArithmetic:
         assert (a * b).exact_div(b * 2) == half
         with pytest.raises(InexactDivision):
             (a * b + ONE).exact_div(b)
+
+
+def seeded_poly(rng: Random, terms: int) -> LaurentPoly:
+    """terms distinct terms with signed coefficients over a denominator
+    of 1 to 6, l-exponents 0..11 and t-exponents -3..3."""
+    den = rng.randint(1, 6)
+    cells = rng.sample([(l, t) for l in range(12) for t in range(-3, 4)], terms)
+    return LaurentPoly(
+        (Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**rng.randint(1, 40)), den), l, t)
+        for l, t in cells
+    )
+
+
+class TestDet2:
+    """det2(nw, ne, sw, se, lam) against nw * se + lam * ne * sw formed on
+    the dict path."""
+
+    def test_matches_the_dict_path(self, monkeypatch):
+        rng = Random(2402)
+        lams = [LAM, LaurentPoly.const(Fraction(-7, 3)), LaurentPoly.monomial(5, 2),
+                ONE_PLUS_LAM, LaurentPoly.monomial(2, 1, 1)]
+        packed = 0
+        for trial in range(120):
+            # Term counts straddle DICT_MAX_TERMS, so some calls pack and
+            # some fall back to the expression.
+            nw, ne, sw, se = (seeded_poly(rng, rng.randint(DICT_MAX_TERMS - 2, 20))
+                              for _ in range(4))
+            lam = lams[trial % len(lams)]
+            with monkeypatch.context() as patched:
+                patched.setattr(laurent, "DICT_MAX_TERMS", 10**9)
+                expected = nw * se + lam * ne * sw
+            got = det2(nw, ne, sw, se, lam)
+            assert got == expected and hash(got) == hash(expected)
+            assert_canonical(got)
+            packed += trial % len(lams) < 3 and min(
+                x.term_count for x in (nw, ne, sw, se)) > DICT_MAX_TERMS
+        assert 10 < packed < 72
+
+    def test_cancelling_sum(self):
+        # nw * se + l * ne * sw is zero when ne * sw = -nw * se / l.
+        a = LaurentPoly((l + 1, l, t) for l in range(10) for t in (-1, 0))
+        b = LaurentPoly((Fraction(3, l + 1), l, 1) for l in range(10))
+        assert det2(a * LAM, a, -b, b, LAM) == ZERO
+        assert det2(a, -a, b, b, LaurentPoly.const(1)) == ZERO
+
+    def test_zero_operands(self):
+        a = LaurentPoly((l + 1, l, 0) for l in range(10))
+        assert det2(ZERO, a, a, a, LAM) == LAM * a * a
+        assert det2(a, a, a, a, ZERO) == a * a
+
+
+class TestLReversal:
+    @given(polys, st.integers(0, 4))
+    def test_reverses_each_l_exponent(self, a, extra):
+        degree = a.max_l_exp() + extra
+        reversed_ = a.l_reversed(degree)
+        # The same coefficients, so the same denominator, at l^(degree - e).
+        assert sorted(reversed_.terms()) == sorted(
+            (degree - l, t, c) for l, t, c in a.terms())
+        assert_canonical(reversed_)
+
+    @given(polys, st.integers(0, 4))
+    def test_is_an_involution(self, a, extra):
+        degree = a.max_l_exp() + extra
+        assert a.l_reversed(degree).l_reversed(degree) == a
+
+    def test_is_l_to_the_degree_times_the_value_at_one_over_l(self):
+        a = LaurentPoly([(Fraction(3, 2), 0, -1), (-4, 2, 0), (5, 3, 2)])
+        assert a.l_reversed(5) == LaurentPoly(
+            [(Fraction(3, 2), 5, -1), (-4, 3, 0), (5, 2, 2)])
+        for l0 in (2, Fraction(-1, 3)):
+            assert a.l_reversed(5).eval_at(l0, 2) == l0**5 * a.eval_at(1 / Fraction(l0), 2)
+        assert ZERO.l_reversed(0) == ZERO
+
+    def test_refuses_a_degree_below_the_l_degree(self):
+        a = LaurentPoly([(1, 0, 0), (2, 3, 1)])
+        assert a.max_l_exp() == 3
+        a.l_reversed(3)
+        with pytest.raises(ValueError, match="l-degree 3 at degree 2"):
+            a.l_reversed(2)
 
 
 class TestExponentRange:

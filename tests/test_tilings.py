@@ -806,6 +806,62 @@ class TestGuards:
         with pytest.raises(WidthExceeded, match="frontier of 25 cells"):
             tilings._sweep_sum(square_region(25))
 
+    def test_weighted_region_past_the_bit_bound_is_refused(self):
+        # Weights p/q, p up to 9 and q up to 4, scale to 7-bit ints here:
+        # 1600**2 * 7 is past 2048**2, so the square of side 40 is refused
+        # before elimination, where unweighted it is counted.
+        rng = Random(40)
+        square = square_region(40)
+        weights = {edge: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                   for edge in region_edges(square)}
+        start = time.perf_counter()
+        with pytest.raises(CellsExceeded, match="1600 cells with 7-bit scaled weights; "
+                                                "the determinant handles at most 774"):
+            matching_sum(square, weights)
+        assert time.perf_counter() - start < 1
+        assert matching_sum(square) == tilings._kasteleyn_sum(square)
+        # The bound is cells**2 * bits <= 2048**2 past one bit: at 7 bits the
+        # square of side 26 and the order-19 Aztec diamond are admitted, the
+        # square of side 28 is not; +-1 entries keep the 4096-cell bound.
+        for cells, bits, admitted in ((26 * 26, 7, True), (2 * 19 * 20, 7, True),
+                                      (28 * 28, 7, False), (4096, 1, True),
+                                      (1448, 2, True), (1449, 2, False)):
+            if admitted:
+                tilings.check_cells(cells, bits)
+            else:
+                with pytest.raises(CellsExceeded):
+                    tilings.check_cells(cells, bits)
+
+    def test_weighted_region_with_no_matching_past_the_bound_sums_to_zero(self):
+        # Zero weights on both edges of the corner cell leave no matching,
+        # so the sum is 0 however long the other weights are; restoring
+        # one of them brings the refusal back.
+        rng = Random(30)
+        square = square_region(30)
+        weights = {edge: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                   for edge in region_edges(square)}
+        corner = [edge for edge in weights if (1, 1) in edge]
+        assert len(corner) == 2
+        for edge in corner:
+            weights[edge] = Fraction(0)
+        assert matching_sum(square, weights) == 0
+        weights[corner[0]] = Fraction(9, 4)
+        with pytest.raises(CellsExceeded, match="900 cells with 7-bit"):
+            matching_sum(square, weights)
+
+    def test_weighted_kuo_sums_past_the_sweep_are_admitted(self):
+        # Order 19 is the largest diamond whose 7-bit weighted sum the
+        # bound admits; every weighting is summed by the determinant.
+        rng = Random(19)
+        whole = aztec_region(19)
+        assert tilings._evaluator(whole).func is tilings._kasteleyn_sum
+        weights = {edge: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                   for edge in region_edges(whole)}
+        assert matching_sum(whole, weights) > 0
+        # Past it, random_edge_weights' zeros leave no matching of the
+        # diamond or its sub-diamonds, so the identity is still checked.
+        assert all(check.holds for check in kuo_trials(24, 2, Random(24)))
+
     def test_brute_force_cell_cap(self):
         with pytest.raises(OrderExceeded):
             matching_sum_brute(aztec_region(6))

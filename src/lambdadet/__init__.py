@@ -46,7 +46,6 @@ from .errors import (
     PoleAtZero,
     SizeMismatch,
     TableTooLarge,
-    WidthExceeded,
     ZeroMinor,
 )
 from .laurent import LAM, ONE, ONE_PLUS_LAM, T_VAR, ZERO, LaurentPoly

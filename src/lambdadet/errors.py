@@ -62,12 +62,8 @@ class IndeterminateForm(LambdaDetError):
     """The numeric recurrence hit a 0/0 that perturbing zeros cannot resolve."""
 
 
-class WidthExceeded(LambdaDetError):
-    """A region is wider than the tiling counter's frontier allows."""
-
-
 class CellsExceeded(LambdaDetError):
-    """A region has more cells than the matching determinant allows."""
+    """A region is past both matching engines' bounds at its frontier."""
 
 
 class OrderExceeded(LambdaDetError):

@@ -176,7 +176,16 @@ def _unpack(packed: int, width: int) -> list[int]:
 
     The inverse of _pack for coefficients inside +-2**(width - 1): a digit
     at or above half the base is negative and borrows one from the next.
+    A value of more than 64 digits is split at a digit boundary, so that
+    no shift copies the whole of it once per digit: the low half's borrow
+    comes back as one digit past its end, and is carried into the high
+    half.
     """
+    if packed.bit_length() > 64 * width:
+        cut = packed.bit_length() // width // 2
+        low = _unpack(packed & ((1 << cut * width) - 1), width)
+        carry = low.pop() if len(low) > cut else 0
+        return low + [0] * (cut - len(low)) + _unpack((packed >> cut * width) + carry, width)
     digits = []
     mask = (1 << width) - 1
     half = 1 << (width - 1)

@@ -46,19 +46,12 @@ class PolyMatrix:
             )
         return self.rows[i - 1][j - 1]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.rows)))
-
     def is_symmetric(self) -> bool:
         return all(
             self.rows[i][j] == self.rows[j][i]
             for i in range(self.size)
             for j in range(i + 1, self.size)
         )
-
-    def is_centrosymmetric(self) -> bool:
-        """True if the matrix equals its 180-degree turn."""
-        return self.rows == tuple(row[::-1] for row in self.rows[::-1])
 
     def has_zero_entry(self) -> bool:
         return any(cell.is_zero() for row in self.rows for cell in row)

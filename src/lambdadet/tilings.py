@@ -9,18 +9,16 @@ product of its edge weights (tiling counts are the all-ones case).
 Three evaluators are provided on purpose.  The frontier sweep
 (_sweep_sum) goes cell by cell with a bitmask profile of covered cells
 along the frontier, by rows, columns, diagonals or anti-diagonals,
-whichever keeps the frontier narrowest.  Its work is states x in-region
-cells, on int states (rational weights are cleared of denominators
-first): linear in the region's length but exponential in its frontier,
-which it limits to 24 cells.  The Kasteleyn determinant (_kasteleyn_sum;
-Kasteleyn, Physica 27, 1961, with the face condition of Kenyon's
-Lectures on dimers) is one fraction-free elimination of a signed sparse
-matrix with a row per black cell: polynomial in the cell count, which it
-limits to MAX_DETERMINANT_CELLS, and to fewer cells for weights that scale
-to longer ints (check_cells).  matching_sum picks between the two by
-the region's frontier and cell count (see its docstring), so wide and
-fat regions, squares of side 10 and more and Aztec diamonds of order 9
-and more among them, go to the determinant, and thin ones stay on the
+whichever keeps the frontier B narrowest: its work, on int states
+(rational weights are cleared of denominators first), is about
+len(cells) << B.  The Kasteleyn determinant (_kasteleyn_sum; Kasteleyn,
+Physica 27, 1961, with the face condition of Kenyon's Lectures on
+dimers) is one fraction-free elimination of a signed sparse matrix with
+a row per black cell, in the sweep's cell order: its work is about
+len(cells) * B**2, which check_cells bounds.  matching_sum (see its
+docstring) sends fat regions, squares of side 10 and more and Aztec
+diamonds of order 9 and more among them, and regions past a second of
+sweeping to the determinant, and other thin ones stay on the
 sweep.  matching_sum works in two steps: a region step, which depends on
 the cells alone (the parity test, the route and, for the sweep, its
 steps with the edge each one weighs) and is kept for the last 16 regions
@@ -42,15 +40,16 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Mapping
 
-from .errors import CellsExceeded, OrderExceeded, SizeMismatch, WidthExceeded
+from .errors import CellsExceeded, OrderExceeded, SizeMismatch
 from .laurent import Rational
 
 Cell = tuple[int, int]
 Edge = tuple[Cell, Cell]
 Region = frozenset[Cell]
 
-MAX_PROFILE_WIDTH = 24
-# The 64x64 square, 4096 cells, takes the determinant about 1.4 s.
+# len(cells) << B, states x steps at frontier B: about a second of sweeping.
+MAX_SWEEP_WORK = 1 << 24
+# The 64x64 square, 4096 cells, takes the determinant about 0.7 s.
 MAX_DETERMINANT_CELLS = 4096
 # cells**2 * bits past this refuses a region with weights of bits bits.
 MAX_WEIGHTED_WORK = (MAX_DETERMINANT_CELLS // 2) ** 2
@@ -136,30 +135,31 @@ def matching_sum(
 
     A region whose black cells (r + c even) and white cells differ in
     number has no perfect matching and gives 0 at once.  Otherwise let B
-    be the narrowest frontier bound of the sweep (see _sweep_plan).  The
-    region goes to the Kasteleyn determinant when B > MAX_PROFILE_WIDTH,
-    which the sweep refuses, or when B >= 10 and len(cells) <= 4 * B**2;
-    every other region is swept.  Both constants were measured (best of
-    3-7 runs, 2-CPU host, CPython 3.11), unweighted and with a random
-    Fraction weight in [1/4, 9] on every edge:
+    be the narrowest frontier bound of the sweep (see _sweep_cells).  The
+    region goes to the Kasteleyn determinant when it is fat, B >= 10 and
+    len(cells) <= 4 * B**2, or when its sweep work len(cells) << B passes
+    MAX_SWEEP_WORK; every other region is swept.  The constants were
+    measured (best of 3-7 runs, 2-CPU host, CPython 3.11), unweighted and
+    with a random Fraction weight in [1/4, 9] on every edge:
 
     - below B = 10 the two are within a factor of 2, and the sweep keeps
-      the weighted sums: Aztec order 8 (B = 9) takes 0.0025 s swept and
-      0.0021 s by the determinant, 0.0031 s and 0.0035 s weighted.  From
+      the weighted sums: Aztec order 8 (B = 9) takes 0.0026 s swept and
+      0.0016 s by the determinant, 0.0039 s and 0.0036 s weighted.  From
       B = 10 the determinant wins on fat regions: square 10 takes
-      0.0049 s and 0.0012 s, Aztec order 10 0.011 s and 0.0039 s, square
-      14 0.24 s and 0.0055 s;
-    - the sweep's work is linear in the cell count and the determinant's
-      is not, so long thin regions stay on the sweep: rectangle 10x200
-      (20 B**2 cells) takes 0.27 s swept and 0.79 s by the determinant.
-      At 4 B**2 the determinant still wins unweighted (rectangle 10x40:
-      0.027 s and 0.014 s) but loses weighted, whose scaled entries are
-      longer ints (0.032 s and 0.099 s); at 2.5 B**2 it wins both
-      (rectangle 12x30: 0.14 s and 0.018 s, 0.16 s and 0.087 s).
+      0.0040 s and 0.0009 s, Aztec order 10 0.0093 s and 0.0026 s, square
+      14 0.11 s and 0.0026 s;
+    - in the sweep's order the determinant is linear in the length too:
+      rectangle 10x200 (20 B**2 cells) takes 0.13 s swept and 0.034 s by
+      it, and weighted 10x40 (4 B**2) 0.026 s and 0.017 s.  But weighted
+      10x200 takes it 1.2-1.35 s, past check_cells, and the sweep
+      0.2-0.4 s: so thin regions stay on the sweep;
+    - the rectangles 10x1638, 12x409 and 14x102, at MAX_SWEEP_WORK =
+      2**24, take 1.9, 1.3 and 1.1 s swept, and 0.34, 0.10 and 0.027 s by
+      the determinant.  Rectangles 80x18 and 2000x10 took the sweep 22 s
+      and 4.4 s.
 
-    The determinant refuses a region of more than MAX_DETERMINANT_CELLS
-    cells, or a weighted one past check_cells's bound on its scaled
-    weights' bit length (CellsExceeded), before it builds its matrix.
+    A region past check_cells's bounds too, such as a long weighted
+    strip, is refused (CellsExceeded) before any matrix is built.
     """
     return _evaluator(frozenset(cells))(weights)
 
@@ -173,14 +173,14 @@ def _evaluator(cells: Region) -> Callable[[Mapping[Edge, Rational] | None], Rati
         return lambda weights: 0
     bounds = _frontier_bounds(cells)
     bound = min(bounds)
-    if bound > MAX_PROFILE_WIDTH or (bound >= 10 and len(cells) <= 4 * bound**2):
+    if (bound >= 10 and len(cells) <= 4 * bound**2) or len(cells) << bound > MAX_SWEEP_WORK:
         return functools.partial(_kasteleyn_sum, cells)
     return functools.partial(_run_plan, cells, _sweep_plan(cells, bounds))
 
 
 def _frontier_bounds(cells: Region) -> tuple[int, int, int, int]:
     """The sweep's frontier bound by rows, columns, diagonals and
-    anti-diagonals (see _sweep_plan)."""
+    anti-diagonals (see _sweep_cells)."""
     rows = [r for r, _ in cells]
     columns = [c for _, c in cells]
     differences = [r - c for r, c in cells]
@@ -212,11 +212,8 @@ def _sweep_sum(
     return _run_plan(cells, _sweep_plan(cells, _frontier_bounds(cells)), weights)
 
 
-def _sweep_plan(
-    cells: Region, bounds: tuple[int, int, int, int]
-) -> list[tuple[int, Edge | None, Edge | None]]:
-    """The frontier sweep's steps, one (slot, down edge, right edge) per
-    cell in sweep order; an edge that leaves the region is None.
+def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell, Cell]:
+    """The region's cells in the sweep's order, keyed by local (row, column).
 
     The region is swept in the one of four cell orders whose frontier is
     narrowest: by rows (at most W cells wide, for a bounding box of
@@ -225,29 +222,33 @@ def _sweep_plan(
     diagonals whose cells take disjoint ranges of r - c, each in steps of
     2, so it is at most (span(r - c) + 1) // 2 + 1 cells, where span is
     max - min over the region; the anti-diagonal bound is the same with
-    r + c.  Ties keep rows, then columns.  The chosen bound must be at
-    most MAX_PROFILE_WIDTH (WidthExceeded otherwise); an order-n Aztec
-    diamond, 2n cells wide, needs n + 1.  bounds is _frontier_bounds(cells).
+    r + c.  Ties keep rows, then columns; an order-n Aztec diamond, 2n
+    cells wide, needs n + 1.  bounds is _frontier_bounds(cells).
     """
     order = min(range(4), key=bounds.__getitem__)
-    if bounds[order] > MAX_PROFILE_WIDTH:
-        raise WidthExceeded(
-            "region needs a frontier of %d cells (rows %d, columns %d, "
-            "diagonals %d, anti-diagonals %d); the sweep handles at most %d"
-            % (bounds[order], *bounds, MAX_PROFILE_WIDTH)
-        )
     r0 = min(r for r, _ in cells)
     c0 = min(c for _, c in cells)
     # Local (row, column) coordinates from (0, 0): columns transpose the
     # region and anti-diagonals mirror it (c -> W - 1 - c), so that rows or
-    # diagonals of the local box are swept.  Edges are named by the
-    # original cells.
+    # diagonals of the local box are swept.
     if order == 1:
         local = {(c - c0, r - r0): (r, c) for (r, c) in cells}
     elif order == 3:
         local = {(r - r0, bounds[0] - 1 - c + c0): (r, c) for (r, c) in cells}
     else:
         local = {(r - r0, c - c0): (r, c) for (r, c) in cells}
+    # By diagonals the cells go by ascending r + c and, within a diagonal,
+    # ascending r.
+    diagonal = None if order < 2 else (lambda cell: (cell[0] + cell[1], cell[0]))
+    return {key: local[key] for key in sorted(local, key=diagonal)}
+
+
+def _sweep_plan(
+    cells: Region, bounds: tuple[int, int, int, int]
+) -> list[tuple[int, Edge | None, Edge | None]]:
+    """The frontier sweep's steps, one (slot, down edge, right edge) per
+    cell of _sweep_cells; an edge that leaves the region is None."""
+    local = _sweep_cells(cells, bounds)
 
     def edge(cell: Cell, neighbour: Cell) -> Edge | None:
         """The edge between local cells, None if it leaves the region."""
@@ -257,16 +258,11 @@ def _sweep_plan(
 
     # The frontier holds one bit per column: cell (r, c) hands its slot c
     # to (r + 1, c), and next in slot c + 1 comes (r, c + 1).  By rows that
-    # holds in reading order.  By diagonals the cells go by ascending r + c
-    # and, within a diagonal, ascending r, so (r - 1, c + 1) has already
+    # holds in reading order.  By diagonals (r - 1, c + 1) has already
     # handed slot c + 1 to (r, c + 1).  Only in-region cells are steps: a
     # cell outside the region never has its frontier bit set, so sweeping
     # it would copy the states unchanged.
-    diagonal = None if order < 2 else (lambda cell: (cell[0] + cell[1], cell[0]))
-    return [
-        (c, edge((r, c), (r + 1, c)), edge((r, c), (r, c + 1)))
-        for r, c in sorted(local, key=diagonal)
-    ]
+    return [(c, edge((r, c), (r + 1, c)), edge((r, c), (r, c + 1))) for r, c in local]
 
 
 def _run_plan(
@@ -322,27 +318,29 @@ def _sweep(
     return states
 
 
-def check_cells(count: int, bits: int = 1) -> None:
+def check_cells(count: int, bits: int = 1, frontier: int = 64) -> None:
     """Refuse (CellsExceeded) a region of count cells, past what the
-    determinant takes in about a second, when its scaled weights reach
-    bits bits.
+    determinant takes in about a second at that frontier bound, when its
+    scaled weights reach bits bits.
 
     Unweighted entries are +-1, and the minors that the elimination
-    carries count matchings, so they stay short: 4096 cells (the 64x64
-    square) take 1.0 s.  Longer entries make every minor longer.  Timed on
-    even squares with random weights of exactly bits bits (2-CPU host,
-    CPython 3.11), the cell count that takes 1 s is about 1450 / 950 /
-    780 / 570 / 390 at 2 / 4 / 7 / 14 / 30 bits: cells * sqrt(bits) is
-    near 2048 at each, so a region past one bit is refused when
-    cells**2 * bits > MAX_WEIGHTED_WORK = 2048**2.  Weights p/q with p up
-    to 9 and q up to 4 scale to 7 bits, which admits 774 cells: the
-    square of side 26 and the Aztec diamond of order 19, not the square
-    of side 28 (1.0 s) or 40 (4.8 s).
+    carries count matchings, so they stay short: the work is about
+    count * frontier**2, refused past 4096**2, where the 64x64 square
+    takes 0.7 s (the 10x2000 rectangle, at an eighth of it, 0.5 s).  Past
+    a frontier of 64 the bound stays 4096 cells.  Longer entries make
+    every minor longer.  Timed on even squares with random weights of
+    exactly bits bits (2-CPU host, CPython 3.11), the cell count that
+    takes 1 s is about 1450 / 950 / 780 / 570 / 390 at 2 / 4 / 7 / 14 /
+    30 bits: cells * sqrt(bits) is near 2048 at each, so a region past
+    one bit is refused when cells**2 * bits > MAX_WEIGHTED_WORK = 2048**2.
+    Weights p/q with p up to 9 and q up to 4 scale to 7 bits, which
+    admits 774 cells: the square of side 26 and the Aztec diamond of
+    order 19, not the square of side 28 (1.0 s) or 40 (4.8 s).
     """
-    if count > MAX_DETERMINANT_CELLS:
+    limit = MAX_DETERMINANT_CELLS**2 // min(frontier**2, MAX_DETERMINANT_CELLS)
+    if count > limit:
         raise CellsExceeded(
-            "region has %d cells; the determinant handles at most %d"
-            % (count, MAX_DETERMINANT_CELLS)
+            "region has %d cells; the determinant handles at most %d" % (count, limit)
         )
     if bits > 1 and count * count * bits > MAX_WEIGHTED_WORK:
         raise CellsExceeded(
@@ -392,7 +390,9 @@ def _kasteleyn_sum(
     large Aztec diamonds, still run past order 19 (0.3-1.0 s for three
     weightings at orders 20-30).
     """
-    check_cells(len(cells))
+    bounds = _frontier_bounds(cells)
+    check_cells(len(cells), 1, min(bounds))
+    ordered = _sweep_cells(cells, bounds).values()
     edges = region_edges(cells)
     get = (weights or {}).get
     values = [get(edge, 1) for edge in edges]
@@ -404,26 +404,27 @@ def _kasteleyn_sum(
     left_of = {(r, c): k for r, columns in rows.items() for k, c in enumerate(columns)}
     signs = [1 if a[0] == b[0] else 1 - 2 * (left_of[a] % 2) for a, b in edges]
     try:
-        check_cells(len(cells), max(map(abs, values), default=1).bit_length())
+        check_cells(len(cells), max(map(abs, values), default=1).bit_length(), min(bounds))
     except CellsExceeded:
         # The signs restricted to the nonzero weights count the matchings
         # that avoid every zero weight, on short entries; with none of
         # them the sum is 0.
-        if _determinant(cells, edges, [s if w else 0 for s, w in zip(signs, values)]):
+        if _determinant(ordered, edges, [s if w else 0 for s, w in zip(signs, values)]):
             raise
         return 0
-    total = _determinant(cells, edges, [s * w for s, w in zip(signs, values)])
+    total = _determinant(ordered, edges, [s * w for s, w in zip(signs, values)])
     if min(values, default=0) >= 0:
         total = abs(total)
     else:
-        ones = _determinant(cells, edges, signs)
+        ones = _determinant(ordered, edges, signs)
         total *= (ones > 0) - (ones < 0)
     return _unscaled(total, scale, cells)
 
 
-def _determinant(cells: Region, edges: list[Edge], entries: list[int]) -> int:
+def _determinant(cells: Iterable[Cell], edges: list[Edge], entries: list[int]) -> int:
     """Determinant of the black x white matrix with entries[e] at edge e,
-    by fraction-free (Bareiss) elimination on sparse rows.
+    by fraction-free (Bareiss) elimination on sparse rows, in the order of
+    cells (the sweep's, in which the fill stays about a frontier wide).
 
     At step k the pivot is, among the rows with an entry in column k, the
     one with the fewest entries; every other such row r becomes
@@ -433,8 +434,8 @@ def _determinant(cells: Region, edges: list[Edge], entries: list[int]) -> int:
     each entry v becomes v * p_(k-1) / p_s at once, which is exact.  The
     last pivot is the determinant of the rows in pivot order.
     """
-    black = sorted(cell for cell in cells if (cell[0] + cell[1]) % 2 == 0)
-    white = sorted(cell for cell in cells if (cell[0] + cell[1]) % 2)
+    black = [cell for cell in cells if (cell[0] + cell[1]) % 2 == 0]
+    white = [cell for cell in cells if (cell[0] + cell[1]) % 2]
     if len(black) != len(white):
         return 0
     row_of = {cell: i for i, cell in enumerate(black)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -652,3 +653,47 @@ def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert not err.startswith("error: ValueError")
+
+
+# 1 + l^10000 + l^20000 + ... + l^80000 in every entry: long packed slices.
+LONG_ENTRY = " + ".join(["1"] + ["1*l^%d" % (10000 * k) for k in range(1, 9)])
+
+# Inputs past the frontier sweep's reach, each answered in 2 s.
+LARGE = {
+    "tile-rect-80-18": ["tile", "--shape", "rect:80:18"],
+    "tile-rect-18-80": ["tile", "--shape", "rect:18:80"],
+    "tile-rect-300-24": ["tile", "--shape", "rect:300:24"],
+    "tile-rect-2000-10": ["tile", "--shape", "rect:2000:10"],
+    "det-long-entries": [
+        "det", "--matrix", json.dumps({"size": 2, "entries": [[LONG_ENTRY] * 2] * 2})
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", LARGE.values(), ids=LARGE.keys())
+def test_large_input_is_answered_within_the_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert ("tilings: " if argv[0] == "tile" else "determinant (34 terms): ") in out
+
+
+def rectangle_product(height: int, width: int) -> float:
+    """Kasteleyn's product for the tilings of an even-by-even rectangle."""
+    return math.prod(
+        4 * math.cos(math.pi * j / (height + 1)) ** 2
+        + 4 * math.cos(math.pi * k / (width + 1)) ** 2
+        for j in range(1, (height + 1) // 2 + 1)
+        for k in range(1, (width + 1) // 2 + 1)
+    )
+
+
+def test_long_rectangle_counts_agree_both_ways(capsys):
+    counts = []
+    for shape in ("rect:80:18", "rect:18:80"):
+        code, out, _ = run(capsys, "tile", "--shape", shape)
+        assert code == 0
+        counts.append(int(out.splitlines()[1].removeprefix("tilings: ")))
+    assert counts[0] == counts[1]
+    assert abs(counts[0] / rectangle_product(80, 18) - 1) < 1e-9

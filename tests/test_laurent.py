@@ -317,6 +317,20 @@ class TestPackedArithmetic:
         assert max(abs(c) for _, _, c in num.terms()) < 130
         assert num.exact_div(den) == tent
 
+    def test_unpack_round_trips_long_and_short_values(self):
+        # 0-700 signed digits, across the 64-digit split, with digits at
+        # both ends of their range so that borrows run across the split.
+        rng = Random(2500)
+        for _ in range(400):
+            width = rng.randint(2, 40)
+            half = 1 << (width - 1)
+            digits = [rng.choice((-half, half - 1, rng.randint(-half, half - 1)))
+                      for _ in range(rng.randint(0, 700))]
+            while digits and not digits[-1]:
+                digits.pop()
+            packed = laurent._pack(enumerate(digits), width)
+            assert laurent._unpack(packed, width) == digits
+
     def test_non_primitive_divisor_gives_a_rational_quotient(self):
         a = LaurentPoly((l + 1, l, t) for l in range(12) for t in (-1, 0, 1))
         b = LaurentPoly((6 * (l + 2), l, t) for l in range(10) for t in (0, 1))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lambdadet import tilings
 from lambdadet.condensation import numeric_pyramid
-from lambdadet.errors import CellsExceeded, OrderExceeded, WidthExceeded
+from lambdadet.errors import CellsExceeded, OrderExceeded
 from lambdadet.matrices import diamond_even
 from lambdadet.tilings import (
     SUB_DIAMOND_OFFSETS,
@@ -341,8 +341,8 @@ class TestSweepOrders:
         assert matching_sum(*transposed(*mirrored(cells, weights))) == value
 
     def test_regions_only_one_order_fits(self):
-        # Each region is wider than MAX_PROFILE_WIDTH in three of the four
-        # orders, so each is counted in the one order that fits.
+        # Each region is more than 30 cells wide in three of the four
+        # orders and 3 cells wide in the fourth, which sweeps it.
         def strip(n):  # tilings of the 3-by-2n rectangle
             a, b = 1, 3
             for _ in range(n - 1):
@@ -624,6 +624,46 @@ class TestKasteleyn:
                 assert numeric_pyramid(diamond_even(n), l0).top == expected
 
 
+# Thin boxes whose narrowest sweep order is, in turn, rows, columns,
+# diagonals r + c and anti-diagonals r - c, each with its sort key.
+THIN_BOXES = {
+    "rows": (rectangle_region(12, 3), lambda cell: cell),
+    "columns": (rectangle_region(3, 12), lambda cell: (cell[1], cell[0])),
+    "diagonals": (band(10, 1), lambda cell: (cell[0] + cell[1], cell[0])),
+    "anti-diagonals": (band(10, 1, anti=True), lambda cell: (cell[0] - cell[1], cell[0])),
+}
+
+
+class TestDeterminantInEachOrder:
+    """With the sweep's work bound at 0 every region takes the determinant,
+    which eliminates in the sweep's order: held to the sweep and, up to 36
+    cells, to brute force."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep_work(self, monkeypatch):
+        monkeypatch.setattr(tilings, "MAX_SWEEP_WORK", 0)
+        tilings._evaluator.cache_clear()
+        yield
+        tilings._evaluator.cache_clear()
+
+    @pytest.mark.parametrize("name", sorted(THIN_BOXES))
+    def test_thin_regions_match_the_sweep(self, name):
+        box, key = THIN_BOXES[name]
+        rng = Random(sorted(THIN_BOXES).index(name) + 2500)
+        for _ in range(4):
+            cells = random_dominoes(box, rng)
+            ordered = tilings._sweep_cells(cells, tilings._frontier_bounds(cells)).values()
+            assert list(ordered) == sorted(cells, key=key)
+            assert tilings._evaluator(cells).func is tilings._kasteleyn_sum
+            weights = nonzero_weights(cells, rng)
+            for case in (None, weights, with_zeros(weights, rng)):
+                expected = tilings._sweep_sum(cells, case)
+                if len(cells) <= 36:
+                    assert expected == matching_sum_brute(cells, case)
+                assert matching_sum(cells, case) == expected
+            assert matching_sum(cells) > 0
+
+
 class TestPreparedRegions:
     """matching_sum's kept region steps, held to a fresh sweep and to brute
     force while the weights change between calls."""
@@ -803,8 +843,6 @@ class TestGuards:
         with pytest.raises(CellsExceeded, match="region has 4356 cells"):
             matching_sum(square_region(66))
         assert time.perf_counter() - start < 1
-        with pytest.raises(WidthExceeded, match="frontier of 25 cells"):
-            tilings._sweep_sum(square_region(25))
 
     def test_weighted_region_past_the_bit_bound_is_refused(self):
         # Weights p/q, p up to 9 and q up to 4, scale to 7-bit ints here:

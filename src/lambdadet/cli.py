@@ -273,7 +273,9 @@ def cmd_kuo_check(args) -> int:
         failed += sum(not check.holds for check in (plain, *weighted))
         outcomes = ["all-ones %s" % ("OK" if plain.holds else "FAIL")]
         if args.trials:
-            outcomes.append("random %d/%d OK" % (good, args.trials))
+            nonzero = sum(check.nonzero for check in weighted)
+            sides = "%d with a nonzero side" % nonzero if nonzero else "every trial was 0 = 0"
+            outcomes.append("random %d/%d OK (%s)" % (good, args.trials, sides))
         print("order %d: %s" % (order, ", ".join(outcomes)))
     if failed:
         print("FAILED: %d identity violations" % failed, file=sys.stderr)

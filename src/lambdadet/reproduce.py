@@ -270,6 +270,7 @@ def check_odd_diamonds(session: ReproductionSession) -> tuple[bool, str]:
 
 def check_kuo(session: ReproductionSession) -> tuple[bool, str]:
     rng = session.rng()
+    nonzero = 0
     for order in range(2, 6):
         plain, *weighted = kuo_trials(order, 100, rng)
         if not plain.holds:
@@ -279,7 +280,14 @@ def check_kuo(session: ReproductionSession) -> tuple[bool, str]:
                 return False, "order %d trial %d: %s != %s" % (
                     order, trial, result.lhs, result.rhs,
                 )
-    return True, "holds for all-ones and 100 random weightings per order 2..5"
+        count = sum(result.nonzero for result in weighted)
+        if not count:
+            return False, "order %d: every weighted trial is 0 = 0" % order
+        nonzero += count
+    return True, (
+        "holds for all-ones and 100 random weightings per order 2..5, "
+        "%d of 400 with a nonzero side" % nonzero
+    )
 
 
 def check_minus_one(session: ReproductionSession) -> tuple[bool, str]:

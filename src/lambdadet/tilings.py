@@ -20,13 +20,16 @@ docstring) sends fat regions, squares of side 10 and more and Aztec
 diamonds of order 9 and more among them, and regions past a second of
 sweeping to the determinant, and other thin ones stay on the
 sweep.  matching_sum works in two steps: a region step, which depends on
-the cells alone (the parity test, the route and, for the sweep, its
-steps with the edge each one weighs) and is kept for the last 16 regions
-summed, and a weight step, which applies it to the weights.  So the
-identity checks, which meet the same six regions under every weighting,
-prepare each region once.  matching_sum_brute recurses on the first
-uncovered cell and is kept deliberately naive so it can serve as an
-independent check of the other two.  The Aztec-diamond families, their four-fold overlapping
+the cells alone (the parity test, the route, check_cells's +-1 bound and
+the route's engine, an int function of the region's int edge values: the
+sweep's steps, or the determinant's cell order, edges and signs) and is
+kept for the last 16 regions summed, and one weight step for both
+routes, which scales the weights to ints, runs the engine and divides
+the scale back out.  So the identity checks, which meet the same six
+regions under every weighting, prepare each region once on either route.
+matching_sum_brute recurses on the first uncovered cell and is kept
+deliberately naive so it can serve as an independent check of the other
+two.  The Aztec-diamond families, their four-fold overlapping
 sub-diamonds, and the graphical condensation identity that ties them to
 the determinant recurrence all live here as well.
 """
@@ -46,6 +49,9 @@ from .laurent import Rational
 Cell = tuple[int, int]
 Edge = tuple[Cell, Cell]
 Region = frozenset[Cell]
+# A prepared route: the sum as an int function of the region's int edge
+# values, in the order of the edges its region step returns.
+Engine = Callable[[list[int]], int]
 
 # len(cells) << B, states x steps at frontier B: about a second of sweeping.
 MAX_SWEEP_WORK = 1 << 24
@@ -75,6 +81,10 @@ def region_from_cells(cells: Iterable[Iterable[int]]) -> Region:
 
 
 def rectangle_region(height: int, width: int) -> Region:
+    """The height-by-width box of cells.  More cells than any route of
+    matching_sum admits, check_cells's limit at frontier 1, are refused
+    (CellsExceeded) before any is built."""
+    check_cells(max(height, 0) * max(width, 0), 1, 1)
     return frozenset((r, c) for r in range(1, height + 1) for c in range(1, width + 1))
 
 
@@ -100,7 +110,9 @@ def diamond_cells(size: int) -> Region:
 
 def aztec_region(n: int) -> Region:
     """The Aztec diamond of order n, diamond_cells(2n): 2n(n+1) cells.
-    Order 0, and any negative order, is empty."""
+    Order 0, and any negative order, is empty.  Refuses too many cells
+    before building any, as rectangle_region does."""
+    check_cells(2 * max(n, 0) * (n + 1), 1, 1)
     return diamond_cells(2 * n)
 
 
@@ -126,12 +138,15 @@ def matching_sum(
     """Sum of matching weights, by the frontier sweep or by the determinant.
 
     The sum is taken in two steps.  The region step, _evaluator(cells),
-    depends on the cells alone: it tests the parity, picks the route and,
-    for a swept region, lays out the sweep's steps with the edge each one
-    weighs.  The weight step applies that to the weights, which for a
-    swept region only looks each edge up.  The last 16 region steps are
-    kept (functools.lru_cache), so a region summed under many weightings,
-    as by kuo_trials, is prepared once.
+    depends on the cells alone: it tests the parity, picks the route and
+    prepares that route's engine, an int function of int edge values in
+    region_edges order: for a swept region its steps with the index of the
+    edge each one weighs, for the determinant its cell order, edges and
+    Kasteleyn signs.  The one weight step, _weigh, looks each edge's
+    weight up, scales the weights to ints, runs the engine and divides the
+    scale back out.  The last 16 region steps are kept
+    (functools.lru_cache), so a region summed under many weightings, as by
+    kuo_trials, is prepared once, on either route.
 
     A region whose black cells (r + c even) and white cells differ in
     number has no perfect matching and gives 0 at once.  Otherwise let B
@@ -161,21 +176,43 @@ def matching_sum(
     A region past check_cells's bounds too, such as a long weighted
     strip, is refused (CellsExceeded) before any matrix is built.
     """
-    return _evaluator(frozenset(cells))(weights)
+    cells = frozenset(cells)
+    return _weigh(cells, *_evaluator(cells), weights)
 
 
 @functools.lru_cache(maxsize=16)
-def _evaluator(cells: Region) -> Callable[[Mapping[Edge, Rational] | None], Rational]:
-    """matching_sum's region step: the sum as a function of the weights."""
+def _evaluator(cells: Region) -> tuple[list[Edge], Engine]:
+    """matching_sum's region step: the region's edges and its engine."""
     if not cells:
-        return lambda weights: 1
+        return [], lambda values: 1
     if 2 * sum((r + c) % 2 for r, c in cells) != len(cells):
-        return lambda weights: 0
+        return [], lambda values: 0
     bounds = _frontier_bounds(cells)
     bound = min(bounds)
     if (bound >= 10 and len(cells) <= 4 * bound**2) or len(cells) << bound > MAX_SWEEP_WORK:
-        return functools.partial(_kasteleyn_sum, cells)
-    return functools.partial(_run_plan, cells, _sweep_plan(cells, bounds))
+        return _kasteleyn_engine(cells, bounds)
+    return _sweep_engine(cells, bounds)
+
+
+def _weigh(
+    cells: Region, edges: list[Edge], engine: Engine, weights: Mapping[Edge, Rational] | None
+) -> Rational:
+    """matching_sum's weight step: the engine run on the weights of the
+    edges (missing edges weigh 1; edges outside the region are ignored).
+
+    Every perfect matching has len(cells) // 2 edges, so the weights are
+    first scaled by D, the lcm of their denominators: the engine then
+    carries ints only, and the sum is engine(D * w) / D ** (len(cells) // 2).
+    """
+    if not weights:
+        return engine([1] * len(edges))
+    values = [weights.get(edge, 1) for edge in edges]
+    scale = math.lcm(*(w.denominator for w in values))
+    total = engine([w.numerator * (scale // w.denominator) for w in values])
+    if scale == 1:
+        return total
+    value = Fraction(total, scale ** (len(cells) // 2))
+    return value.numerator if value.denominator == 1 else value
 
 
 def _frontier_bounds(cells: Region) -> tuple[int, int, int, int]:
@@ -193,15 +230,6 @@ def _frontier_bounds(cells: Region) -> tuple[int, int, int, int]:
     )
 
 
-def _unscaled(total: int, scale: int, cells: Region) -> Rational:
-    """total / scale ** (len(cells) // 2): a sum taken with every weight
-    multiplied by scale, back at the weights' own size."""
-    if scale == 1:
-        return total
-    value = Fraction(total, scale ** (len(cells) // 2))
-    return value.numerator if value.denominator == 1 else value
-
-
 def _sweep_sum(
     cells: Region, weights: Mapping[Edge, Rational] | None = None
 ) -> Rational:
@@ -209,7 +237,7 @@ def _sweep_sum(
     shape, planned afresh on every call (matching_sum keeps its plans)."""
     if not cells:
         return 1
-    return _run_plan(cells, _sweep_plan(cells, _frontier_bounds(cells)), weights)
+    return _weigh(cells, *_sweep_engine(cells, _frontier_bounds(cells)), weights)
 
 
 def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell, Cell]:
@@ -243,18 +271,19 @@ def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell,
     return {key: local[key] for key in sorted(local, key=diagonal)}
 
 
-def _sweep_plan(
-    cells: Region, bounds: tuple[int, int, int, int]
-) -> list[tuple[int, Edge | None, Edge | None]]:
-    """The frontier sweep's steps, one (slot, down edge, right edge) per
-    cell of _sweep_cells; an edge that leaves the region is None."""
+def _sweep_engine(cells: Region, bounds: tuple[int, int, int, int]) -> tuple[list[Edge], Engine]:
+    """The region's edges and the frontier sweep's engine: its steps, one
+    (slot, down edge, right edge) per cell of _sweep_cells, each edge an
+    index into the edges, -1 where it leaves the region."""
     local = _sweep_cells(cells, bounds)
+    edges = region_edges(cells)
+    index = {edge: i for i, edge in enumerate(edges)}
 
-    def edge(cell: Cell, neighbour: Cell) -> Edge | None:
-        """The edge between local cells, None if it leaves the region."""
+    def edge(cell: Cell, neighbour: Cell) -> int:
+        """The index of the edge between local cells, -1 if it leaves the region."""
         if neighbour not in local:
-            return None
-        return edge_key(local[cell], local[neighbour])
+            return -1
+        return index[edge_key(local[cell], local[neighbour])]
 
     # The frontier holds one bit per column: cell (r, c) hands its slot c
     # to (r + 1, c), and next in slot c + 1 comes (r, c + 1).  By rows that
@@ -262,43 +291,22 @@ def _sweep_plan(
     # handed slot c + 1 to (r, c + 1).  Only in-region cells are steps: a
     # cell outside the region never has its frontier bit set, so sweeping
     # it would copy the states unchanged.
-    return [(c, edge((r, c), (r + 1, c)), edge((r, c), (r, c + 1))) for r, c in local]
+    plan = [(c, edge((r, c), (r + 1, c)), edge((r, c), (r, c + 1))) for r, c in local]
+    return edges, functools.partial(_sweep, plan)
 
 
-def _run_plan(
-    cells: Region,
-    plan: list[tuple[int, Edge | None, Edge | None]],
-    weights: Mapping[Edge, Rational] | None = None,
-) -> Rational:
-    """Sweep the plan's steps under the weights (missing edges weigh 1).
-
-    Every perfect matching has len(cells) // 2 edges, so the weights are
-    first scaled by D, the lcm of their denominators: the sweep then
-    carries ints only, and the sum is sweep(D * w) / D ** (len(cells) // 2).
-    Edges outside the region are ignored and do not enter D.
-    """
-    get = (weights or {}).get
-    steps = [
-        (c, 0 if down is None else get(down, 1), 0 if right is None else get(right, 1))
-        for c, down, right in plan
-    ]
-    scale = math.lcm(*(w.denominator for _, down, right in steps for w in (down, right)))
-    return _unscaled(_sweep({0: 1}, steps, scale).get(0, 0), scale, cells)
-
-
-def _sweep(
-    states: dict[int, int], steps: list[tuple[int, Rational, Rational]], scale: int
-) -> dict[int, int]:
-    """Carry the profile states through the steps (empty once none is left).
+def _sweep(plan: list[tuple[int, int, int]], values: list[int]) -> int:
+    """The plan's sweep under the int edge values.
 
     A state is a mask of the frontier slots already covered, mapped to
     the weighted number of partial matchings that reach it; each step
-    (slot, down weight, right weight) is one cell."""
-    for c, down, right in steps:
+    (slot, down edge, right edge) is one cell."""
+    values = [*values, 0]  # index -1, an edge that leaves the region, weighs 0
+    states = {0: 1}
+    for c, down, right in plan:
         bit = 1 << c
         next_bit = bit << 1
-        down = down.numerator * (scale // down.denominator)
-        right = right.numerator * (scale // right.denominator)
+        down, right = values[down], values[right]
         new: dict[int, int] = {}
         get = new.get
         for mask, acc in states.items():
@@ -315,7 +323,7 @@ def _sweep(
         states = new
         if not states:
             break
-    return states
+    return states.get(0, 0)
 
 
 def check_cells(count: int, bits: int = 1, frontier: int = 64) -> None:
@@ -353,7 +361,16 @@ def check_cells(count: int, bits: int = 1, frontier: int = 64) -> None:
 def _kasteleyn_sum(
     cells: Region, weights: Mapping[Edge, Rational] | None = None
 ) -> Rational:
-    """Sum of matching weights as a Kasteleyn determinant.
+    """Sum of matching weights as a Kasteleyn determinant (see
+    _kasteleyn_engine), prepared afresh on every call (matching_sum keeps
+    its preparations)."""
+    return _weigh(cells, *_kasteleyn_engine(cells, _frontier_bounds(cells)), weights)
+
+
+def _kasteleyn_engine(
+    cells: Region, bounds: tuple[int, int, int, int]
+) -> tuple[list[Edge], Engine]:
+    """The region's edges and the Kasteleyn determinant's engine.
 
     The matrix is the black x white biadjacency matrix (black cells have
     r + c even).  Its signs meet Kasteleyn's condition on every face:
@@ -377,48 +394,50 @@ def _kasteleyn_sum(
       number of vertical edges.
 
     Then det = +-(sum of matching weights), with one sign for every
-    weighting of the region: with no negative weight the sum is |det|,
-    and otherwise det takes the sign of the all-ones determinant (a sum
-    of 0 when that is 0).  Rational weights are scaled to ints by the lcm
-    of their denominators, as in the sweep.  Refuses more than
-    MAX_DETERMINANT_CELLS cells (CellsExceeded) before any matrix is
-    built.  A weighted region past check_cells's bound on its scaled
-    weights' bit length is refused too, unless no matching avoids its
-    zero weights: the +-1 determinant on its nonzero edges, which the
-    bound does not limit, tells, and the sum is then 0.  So the Kuo
-    checks of random_edge_weights, whose zeros leave no such matching on
-    large Aztec diamonds, still run past order 19 (0.3-1.0 s for three
-    weightings at orders 20-30).
+    weighting of the region (see _kasteleyn).  A region past check_cells's
+    +-1 bound is refused (CellsExceeded) before anything is built.
     """
-    bounds = _frontier_bounds(cells)
     check_cells(len(cells), 1, min(bounds))
-    ordered = _sweep_cells(cells, bounds).values()
+    ordered = list(_sweep_cells(cells, bounds).values())
     edges = region_edges(cells)
-    get = (weights or {}).get
-    values = [get(edge, 1) for edge in edges]
-    scale = math.lcm(*(w.denominator for w in values))
-    values = [w.numerator * (scale // w.denominator) for w in values]
     rows: dict[int, list[int]] = {}
     for r, c in sorted(cells):
         rows.setdefault(r, []).append(c)
     left_of = {(r, c): k for r, columns in rows.items() for k, c in enumerate(columns)}
     signs = [1 if a[0] == b[0] else 1 - 2 * (left_of[a] % 2) for a, b in edges]
+    return edges, functools.partial(_kasteleyn, ordered, edges, signs, min(bounds))
+
+
+def _kasteleyn(
+    ordered: list[Cell], edges: list[Edge], signs: list[int], frontier: int, values: list[int]
+) -> int:
+    """The sum of matchings under the int edge values, from the signed
+    determinant of _kasteleyn_engine in the sweep's cell order.
+
+    With no negative value the sum is |det|, and otherwise det takes the
+    sign of the all-ones determinant (a sum of 0 when that is 0).  A
+    region past check_cells's bound on its values' bit length is refused
+    (CellsExceeded), unless no matching avoids its zero values: the +-1
+    determinant on its nonzero edges, which the bound does not limit,
+    tells, and the sum is then 0.  So the Kuo checks of
+    random_edge_weights, whose zeros leave no such matching on large Aztec
+    diamonds, still run past order 19 (0.3-1.0 s for three weightings at
+    orders 20-30).
+    """
     try:
-        check_cells(len(cells), max(map(abs, values), default=1).bit_length(), min(bounds))
+        check_cells(len(ordered), max(map(abs, values), default=1).bit_length(), frontier)
     except CellsExceeded:
-        # The signs restricted to the nonzero weights count the matchings
-        # that avoid every zero weight, on short entries; with none of
+        # The signs restricted to the nonzero values count the matchings
+        # that avoid every zero value, on short entries; with none of
         # them the sum is 0.
         if _determinant(ordered, edges, [s if w else 0 for s, w in zip(signs, values)]):
             raise
         return 0
     total = _determinant(ordered, edges, [s * w for s, w in zip(signs, values)])
     if min(values, default=0) >= 0:
-        total = abs(total)
-    else:
-        ones = _determinant(ordered, edges, signs)
-        total *= (ones > 0) - (ones < 0)
-    return _unscaled(total, scale, cells)
+        return abs(total)
+    ones = _determinant(ordered, edges, signs)
+    return total * ((ones > 0) - (ones < 0))
 
 
 def _determinant(cells: Iterable[Cell], edges: list[Edge], entries: list[int]) -> int:
@@ -627,6 +646,11 @@ class KuoCheck:
     @property
     def holds(self) -> bool:
         return self.lhs == self.rhs
+
+    @property
+    def nonzero(self) -> bool:
+        """Whether either side is nonzero: a check of 0 = 0 shows little."""
+        return bool(self.lhs or self.rhs)
 
 
 def kuo_identity_check(

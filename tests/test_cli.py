@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from lambdadet import tilings
+from lambdadet import reproduce, tilings
 from lambdadet.cli import main
 from lambdadet.errors import SizeMismatch
 from lambdadet.reproduce import run_all, run_check
@@ -464,9 +464,36 @@ class TestKuoAndReproduce:
         code, out, err = run(capsys, "kuo-check", "--order", "4", "--trials", "3")
         assert code == 1
         assert out.splitlines() == [
-            "order %d: all-ones OK, random 0/3 OK" % order for order in (2, 3, 4)
+            "order %d: all-ones OK, random 0/3 OK (3 with a nonzero side)" % order
+            for order in (2, 3, 4)
         ]
         assert err == "FAILED: 9 identity violations\n"
+
+    def test_kuo_check_says_when_every_trial_is_zero(self, capsys):
+        # At order 10 random_edge_weights' zeros leave no matching of the
+        # diamond or its sub-diamonds: the exit code stays 0.
+        code, out, _ = run(
+            capsys, "kuo-check", "--min-order", "10", "--order", "10", "--trials", "3"
+        )
+        assert code == 0
+        assert out == "order 10: all-ones OK, random 3/3 OK (every trial was 0 = 0)\n"
+
+    def test_check_13_counts_and_needs_trials_with_a_nonzero_side(self, monkeypatch):
+        result = run_check(13)
+        assert result.passed
+        assert result.detail.endswith(", 291 of 400 with a nonzero side")
+        trials = reproduce.kuo_trials
+
+        def zeros_at_four(order, count, rng):
+            plain, *weighted = trials(order, count, rng)
+            if order == 4:
+                weighted = [replace(check, lhs=0, rhs=0) for check in weighted]
+            return [plain, *weighted]
+
+        monkeypatch.setattr(reproduce, "kuo_trials", zeros_at_four)
+        result = run_check(13)
+        assert not result.passed
+        assert result.detail == "order 4: every weighted trial is 0 = 0"
 
     def test_kuo_check_past_the_sweep_is_quick(self, capsys):
         # Order 24 is 25 cells wide by diagonals, past the sweep: every
@@ -637,6 +664,10 @@ MALFORMED = {
     "matrix-size-bool": ["det", "--matrix", '{"size": true, "entries": [[1]]}'],
     "tfk-past-the-cell-bound": ["tfk", "600"],
     "tile-past-the-cell-bound": ["tile", "--shape", "square:66"],
+    "tile-rect-past-every-route": ["tile", "--shape", "rect:100000:100000"],
+    "tile-square-past-every-route": ["tile", "--shape", "square:100000"],
+    "tile-aztec-past-every-route": ["tile", "--shape", "aztec:100000"],
+    "tile-strip-past-every-route": ["tile", "--shape", "rect:1:20000000"],
     "tile-weighted-past-the-bit-bound": [
         "tile", "--shape", "square:40",
         "--weights", random_weights_json(tilings.square_region(40), Random(40)),

@@ -49,6 +49,23 @@ class TestRegions:
     def test_rectangle_and_square_sizes(self):
         assert len(rectangle_region(3, 5)) == 15
         assert square_region(4) == rectangle_region(4, 4)
+        assert rectangle_region(-5000, -5000) == frozenset()
+
+    def test_regions_past_every_route_are_refused_before_building(self):
+        # 2**24 cells, check_cells's limit at frontier 1, is the most that
+        # any route admits.
+        limit = tilings.MAX_DETERMINANT_CELLS**2
+        tilings.check_cells(limit, 1, 1)
+        start = time.perf_counter()
+        for build, args, count in (
+            (rectangle_region, (1, limit + 1), limit + 1),
+            (rectangle_region, (4097, 4096), 4097 * 4096),
+            (square_region, (10**5,), 10**10),
+            (aztec_region, (2897,), 2 * 2897 * 2898),
+        ):
+            with pytest.raises(CellsExceeded, match="region has %d cells" % count):
+                build(*args)
+        assert time.perf_counter() - start < 1
 
     def test_aztec_region_sizes(self):
         assert aztec_region(0) == frozenset()
@@ -312,6 +329,12 @@ def nonzero_weights(cells, rng):
 def with_zeros(weights, rng):
     """The same weights with about a third of the edges set to 0."""
     return {edge: 0 if rng.random() < 0.35 else w for edge, w in weights.items()}
+
+
+def route(cells):
+    """The engine that matching_sum's kept region step runs on the cells."""
+    _, engine = tilings._evaluator(cells)
+    return engine.func
 
 
 class TestSweepOrders:
@@ -654,7 +677,7 @@ class TestDeterminantInEachOrder:
             cells = random_dominoes(box, rng)
             ordered = tilings._sweep_cells(cells, tilings._frontier_bounds(cells)).values()
             assert list(ordered) == sorted(cells, key=key)
-            assert tilings._evaluator(cells).func is tilings._kasteleyn_sum
+            assert route(cells) is tilings._kasteleyn
             weights = nonzero_weights(cells, rng)
             for case in (None, weights, with_zeros(weights, rng)):
                 expected = tilings._sweep_sum(cells, case)
@@ -669,15 +692,15 @@ class TestPreparedRegions:
     force while the weights change between calls."""
 
     @pytest.mark.parametrize(
-        "cells, route",
+        "cells, engine",
         [
-            (random_dominoes(rectangle_region(6, 6), Random(424)), "_run_plan"),
-            (square_region(10), "_kasteleyn_sum"),
+            (random_dominoes(rectangle_region(6, 6), Random(424)), "_sweep"),
+            (square_region(10), "_kasteleyn"),
         ],
         ids=["swept", "determinant"],
     )
-    def test_weights_change_between_calls(self, cells, route):
-        assert tilings._evaluator(cells).func is getattr(tilings, route)
+    def test_weights_change_between_calls(self, cells, engine):
+        assert route(cells) is getattr(tilings, engine)
         rng = Random(425)
         first = nonzero_weights(cells, rng)
         second = with_zeros(nonzero_weights(cells, rng), rng)
@@ -687,6 +710,30 @@ class TestPreparedRegions:
             if len(cells) <= 36:
                 assert expected == matching_sum_brute(cells, weights)
             assert matching_sum(cells, weights) == expected
+
+    @pytest.mark.parametrize(
+        "cells",
+        [random_dominoes(rectangle_region(6, 6), Random(427)), aztec_region(10)],
+        ids=["swept", "determinant"],
+    )
+    def test_other_weights_reuse_the_region_step(self, cells, monkeypatch):
+        names = ("region_edges", "_frontier_bounds", "_sweep_cells")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, name=name, step=getattr(tilings, name)):
+                calls[name] += 1
+                return step(*args)
+
+            monkeypatch.setattr(tilings, name, counted)
+        tilings._evaluator.cache_clear()
+        rng = Random(428)
+        first, second = nonzero_weights(cells, rng), nonzero_weights(cells, rng)
+        matching_sum(cells, first)
+        assert min(calls.values()) >= 1
+        calls.update(dict.fromkeys(names, 0))
+        value = matching_sum(cells, second)
+        assert calls == dict.fromkeys(names, 0)
+        assert value == tilings._sweep_sum(cells, second) != matching_sum(cells, first)
 
     def test_equal_regions_share_their_step(self):
         cells = ORDER_SHAPES["diagonal band"]
@@ -802,18 +849,16 @@ class TestCondensationIdentity:
     def test_trials_draw_their_weights_in_order(self):
         # Up to order 8 every sum is swept; at order 9 the whole diamond
         # goes to the determinant and its sub-diamonds stay on the sweep.
-        for order, whole_route in ((3, "_run_plan"), (8, "_run_plan"), (9, "_kasteleyn_sum")):
+        for order, whole_route in ((3, "_sweep"), (8, "_sweep"), (9, "_kasteleyn")):
             checks = kuo_trials(order, 4, Random(412))
             rng = Random(412)
             assert checks == [kuo_identity_check(order)] + [
                 kuo_identity_check(order, random_edge_weights(order, rng)) for _ in range(4)
             ]
             assert all(check.holds for check in checks)
-            whole = tilings._evaluator(aztec_region(order))
-            assert whole.func is getattr(tilings, whole_route)
+            assert route(aztec_region(order)) is getattr(tilings, whole_route)
             for which in SUB_DIAMOND_OFFSETS:
-                sub = tilings._evaluator(sub_diamond_cells(order, which))
-                assert sub.func is tilings._run_plan
+                assert route(sub_diamond_cells(order, which)) is tilings._sweep
         assert kuo_trials(2, 0, rng) == [kuo_identity_check(2)]
 
     def test_holds_flag_reports_disagreement(self):
@@ -892,13 +937,16 @@ class TestGuards:
         # bound admits; every weighting is summed by the determinant.
         rng = Random(19)
         whole = aztec_region(19)
-        assert tilings._evaluator(whole).func is tilings._kasteleyn_sum
+        assert route(whole) is tilings._kasteleyn
         weights = {edge: Fraction(rng.randint(1, 9), rng.randint(1, 4))
                    for edge in region_edges(whole)}
         assert matching_sum(whole, weights) > 0
         # Past it, random_edge_weights' zeros leave no matching of the
-        # diamond or its sub-diamonds, so the identity is still checked.
-        assert all(check.holds for check in kuo_trials(24, 2, Random(24)))
+        # diamond or its sub-diamonds: the sums are admitted, but both
+        # sides are 0, so the weighted identity checks only 0 = 0.
+        plain, *weighted = kuo_trials(24, 2, Random(24))
+        assert plain.holds and plain.nonzero
+        assert all(check.holds and (check.lhs, check.rhs) == (0, 0) for check in weighted)
 
     def test_brute_force_cell_cap(self):
         with pytest.raises(OrderExceeded):

@@ -50,7 +50,6 @@ from .reproduce import DEFAULT_SEED, ReproductionSession, run_all
 from .tilings import (
     as_cell,
     aztec_region,
-    check_cells,
     count_tilings,
     edge_key,
     kuo_trials,
@@ -61,6 +60,13 @@ from .tilings import (
     square_region,
     tfk_count,
 )
+
+
+# The most decimal digits of an int that main prints or parses.  10**5
+# digits take about 0.15 s to print and 0.05 s to parse, 10**6 digits 16 s
+# and 5.6 s (2-CPU host, CPython 3.11); the count of rect:2:400000, which
+# takes 19 s to compute, has 83.6k.
+MAX_INT_DIGITS = 10**5
 
 
 def _size(text: str) -> int:
@@ -250,9 +256,9 @@ def cmd_tile(args) -> int:
 def cmd_tfk(args) -> int:
     if args.n < 0:
         raise SizeMismatch("tfk needs n >= 0, got %d" % args.n)
-    check_cells((2 * args.n) ** 2)
+    square = square_region(2 * args.n)
     approx = tfk_count(args.n)
-    exact = count_tilings(square_region(2 * args.n))
+    exact = count_tilings(square)
     # Past n = 25 the product overflows a float to inf, and the exact
     # count no longer converts to one.
     rel = abs(Fraction(approx) - exact) / exact if math.isfinite(approx) else math.inf
@@ -396,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # no limit before CPython 3.10.7
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
     # argparse reads "-1,2" after --checks as an option, not as its value;
     # joined, it reaches the same range check as --checks=-1,2.
     for i, arg in enumerate(argv[:-1]):

@@ -34,7 +34,8 @@ perturbed matrix makes zero, so l = 0 never fails.
 
 perturbed_det is the one perturb-and-limit pipeline: it replaces zeros
 by t, runs an engine (condensation, or the sum over alternating-sign
-matrices) and lets t -> 0.
+matrices) and lets t -> 0.  It and numeric_pyramid take every limit
+through _limit, which names the window that keeps a pole.
 
 Each numerator nw * se + l * ne * sw is laurent.det2, which forms long
 values' two products in one packed pass.
@@ -119,12 +120,15 @@ def _window(k: int, i: int, j: int) -> str:
     return "the %d-by-%d window at (%d, %d)" % (k, k, i, j)
 
 
-def _pole(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> PoleAtZero:
-    """The error for a window value that keeps a negative t-power."""
-    return PoleAtZero(
-        "%s keeps t^%d%s, so it has no t -> 0 limit"
-        % (_window(k, i, j), value.min_t_exp(), where)
-    )
+def _limit(value: LaurentPoly, k: int, i: int, j: int, where: str = "") -> LaurentPoly:
+    """The t -> 0 limit of the value of the k-by-k window at (i, j); a
+    value that keeps a negative t-power raises PoleAtZero naming the window."""
+    if value.min_t_exp() < 0:
+        raise PoleAtZero(
+            "%s keeps t^%d%s, so it has no t -> 0 limit"
+            % (_window(k, i, j), value.min_t_exp(), where)
+        )
+    return value.limit_t0()
 
 
 def _l_order(value: LaurentPoly) -> int:
@@ -233,10 +237,9 @@ def _condense(matrix: PolyMatrix, lam) -> Iterator[tuple[tuple[object, ...], ...
         yield prev
 
 
-def symbolic_pyramid(matrix: PolyMatrix, lam: LaurentPoly = LAM) -> Pyramid:
-    """Full pyramid over the exact ring, with l as a variable or, given
-    lam, at that fixed value of l."""
-    return Pyramid(tuple(_condense(matrix, lam)))
+def symbolic_pyramid(matrix: PolyMatrix) -> Pyramid:
+    """Full pyramid over the exact ring, with l as a variable."""
+    return Pyramid(tuple(_condense(matrix, LAM)))
 
 
 def lambda_det(matrix: PolyMatrix) -> LaurentPoly:
@@ -262,17 +265,12 @@ def numeric_pyramid(matrix: PolyMatrix, lam_value: Rational) -> Pyramid:
     matrix.constant_entries()  # SizeMismatch unless every entry is constant
     perturbed = matrix.perturb_zeros()
     at_l = " at l = %s" % lam_value
-
-    def limit(value, k: int, i: int, j: int):
-        if value.min_t_exp() < 0:
-            raise _pole(value, k, i, j, at_l)
-        return value.limit_t0().eval_at(lam_value)
-
     layers = []
     try:
         for k, layer in enumerate(_condense(perturbed, LaurentPoly.const(lam_value)), 1):
             layers.append(tuple(
-                tuple(limit(value, k, i, j) for j, value in enumerate(row, 1))
+                tuple(_limit(value, k, i, j, at_l).eval_at(lam_value)
+                      for j, value in enumerate(row, 1))
                 for i, row in enumerate(layer, 1)
             ))
     except ZeroMinor as exc:
@@ -306,8 +304,5 @@ def perturbed_det(
     was_perturbed = matrix.has_zero_entry()
     work = matrix.perturb_zeros() if was_perturbed else matrix
     det = engine(work)
-    try:
-        limit = det.limit_t0()
-    except PoleAtZero:
-        raise _pole(det, matrix.size, 1, 1) from None
+    limit = _limit(det, matrix.size, 1, 1)
     return PerturbedDet(det=det, limit=limit, was_perturbed=was_perturbed)

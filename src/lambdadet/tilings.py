@@ -15,18 +15,18 @@ len(cells) << B.  The Kasteleyn determinant (_kasteleyn_sum; Kasteleyn,
 Physica 27, 1961, with the face condition of Kenyon's Lectures on
 dimers) is one fraction-free elimination of a signed sparse matrix with
 a row per black cell, in the sweep's cell order: its work is about
-len(cells) * B**2, which check_cells bounds.  matching_sum (see its
-docstring) sends fat regions, squares of side 10 and more and Aztec
-diamonds of order 9 and more among them, and regions past a second of
-sweeping to the determinant, and other thin ones stay on the
-sweep.  matching_sum works in two steps: a region step, which depends on
-the cells alone (the parity test, the route, check_cells's +-1 bound and
-the route's engine, an int function of the region's int edge values: the
-sweep's steps, or the determinant's cell order, edges and signs) and is
-kept for the last 16 regions summed, and one weight step for both
-routes, which scales the weights to ints, runs the engine and divides
-the scale back out.  So the identity checks, which meet the same six
-regions under every weighting, prepare each region once on either route.
+len(cells) * B**2, which check_cells bounds.  One rule, _route, of
+len(cells) and B, sends fat regions (squares of side 10 and more and
+Aztec diamonds of order 9 and more among them) and regions past a
+second of sweeping to the determinant, where it refuses those past
+check_cells's +-1 bound, and other thin ones to the sweep; it is asked
+before any cell is ordered or built.  matching_sum works in two steps:
+a region step, which depends on the cells alone (the parity test, the
+route and its engine, an int function of the region's int edge values:
+the sweep's steps, or the determinant's cell order, edges and signs)
+and is kept for the last 16 regions summed, and one weight step for
+both routes, which scales the weights to ints, runs the engine and
+divides the scale back out.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the other
 two.  The Aztec-diamond families, their four-fold overlapping
@@ -81,10 +81,10 @@ def region_from_cells(cells: Iterable[Iterable[int]]) -> Region:
 
 
 def rectangle_region(height: int, width: int) -> Region:
-    """The height-by-width box of cells.  More cells than any route of
-    matching_sum admits, check_cells's limit at frontier 1, are refused
-    (CellsExceeded) before any is built."""
-    check_cells(max(height, 0) * max(width, 0), 1, 1)
+    """The height-by-width box of cells, at frontier bound min(height,
+    width).  _route refuses (CellsExceeded) what matching_sum would, and an
+    odd box past the same bound, before any cell is built."""
+    _route(max(height, 0) * max(width, 0), max(min(height, width), 0))
     return frozenset((r, c) for r in range(1, height + 1) for c in range(1, width + 1))
 
 
@@ -109,10 +109,10 @@ def diamond_cells(size: int) -> Region:
 
 
 def aztec_region(n: int) -> Region:
-    """The Aztec diamond of order n, diamond_cells(2n): 2n(n+1) cells.
-    Order 0, and any negative order, is empty.  Refuses too many cells
-    before building any, as rectangle_region does."""
-    check_cells(2 * max(n, 0) * (n + 1), 1, 1)
+    """The Aztec diamond of order n, diamond_cells(2n): 2n(n+1) cells at
+    frontier bound n + 1.  Order 0, and any negative order, is empty.
+    Refused before any cell is built, as rectangle_region is."""
+    _route(2 * max(n, 0) * (n + 1), max(n, 0) + 1)
     return diamond_cells(2 * n)
 
 
@@ -151,9 +151,9 @@ def matching_sum(
     A region whose black cells (r + c even) and white cells differ in
     number has no perfect matching and gives 0 at once.  Otherwise let B
     be the narrowest frontier bound of the sweep (see _sweep_cells).  The
-    region goes to the Kasteleyn determinant when it is fat, B >= 10 and
-    len(cells) <= 4 * B**2, or when its sweep work len(cells) << B passes
-    MAX_SWEEP_WORK; every other region is swept.  The constants were
+    region goes (_route) to the Kasteleyn determinant when it is fat, B >=
+    10 and len(cells) <= 4 * B**2, or when its sweep work len(cells) << B
+    passes MAX_SWEEP_WORK; every other region is swept.  The constants were
     measured (best of 3-7 runs, 2-CPU host, CPython 3.11), unweighted and
     with a random Fraction weight in [1/4, 9] on every edge:
 
@@ -187,11 +187,20 @@ def _evaluator(cells: Region) -> tuple[list[Edge], Engine]:
         return [], lambda values: 1
     if 2 * sum((r + c) % 2 for r, c in cells) != len(cells):
         return [], lambda values: 0
-    bounds = _frontier_bounds(cells)
-    bound = min(bounds)
-    if (bound >= 10 and len(cells) <= 4 * bound**2) or len(cells) << bound > MAX_SWEEP_WORK:
-        return _kasteleyn_engine(cells, bounds)
-    return _sweep_engine(cells, bounds)
+    local, frontier = _sweep_cells(cells)
+    if _route(len(cells), frontier):
+        return _kasteleyn_engine(cells, local, frontier)
+    return _sweep_engine(cells, local)
+
+
+def _route(count: int, frontier: int) -> bool:
+    """Whether matching_sum takes count cells at frontier bound frontier to
+    the determinant, refusing (CellsExceeded) past check_cells's +-1 bound
+    there; asked before any cell is ordered or built (see matching_sum)."""
+    if (frontier >= 10 and count <= 4 * frontier**2) or count << frontier > MAX_SWEEP_WORK:
+        check_cells(count, 1, frontier)
+        return True
+    return False
 
 
 def _weigh(
@@ -215,21 +224,6 @@ def _weigh(
     return value.numerator if value.denominator == 1 else value
 
 
-def _frontier_bounds(cells: Region) -> tuple[int, int, int, int]:
-    """The sweep's frontier bound by rows, columns, diagonals and
-    anti-diagonals (see _sweep_cells)."""
-    rows = [r for r, _ in cells]
-    columns = [c for _, c in cells]
-    differences = [r - c for r, c in cells]
-    sums = [r + c for r, c in cells]
-    return (
-        max(columns) - min(columns) + 1,
-        max(rows) - min(rows) + 1,
-        (max(differences) - min(differences) + 1) // 2 + 1,
-        (max(sums) - min(sums) + 1) // 2 + 1,
-    )
-
-
 def _sweep_sum(
     cells: Region, weights: Mapping[Edge, Rational] | None = None
 ) -> Rational:
@@ -237,11 +231,12 @@ def _sweep_sum(
     shape, planned afresh on every call (matching_sum keeps its plans)."""
     if not cells:
         return 1
-    return _weigh(cells, *_sweep_engine(cells, _frontier_bounds(cells)), weights)
+    return _weigh(cells, *_sweep_engine(cells, _sweep_cells(cells)[0]), weights)
 
 
-def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell, Cell]:
-    """The region's cells in the sweep's order, keyed by local (row, column).
+def _sweep_cells(cells: Region) -> tuple[dict[Cell, Cell], int]:
+    """The region's cells in the sweep's order, keyed by local (row, column),
+    and that order's frontier bound B.
 
     The region is swept in the one of four cell orders whose frontier is
     narrowest: by rows (at most W cells wide, for a bounding box of
@@ -251,11 +246,18 @@ def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell,
     2, so it is at most (span(r - c) + 1) // 2 + 1 cells, where span is
     max - min over the region; the anti-diagonal bound is the same with
     r + c.  Ties keep rows, then columns; an order-n Aztec diamond, 2n
-    cells wide, needs n + 1.  bounds is _frontier_bounds(cells).
+    cells wide, needs n + 1, and an H-by-W box min(H, W).  A region that
+    matching_sum would refuse is refused (_route) before any is ordered.
     """
+    rows = [r for r, _ in cells]
+    columns = [c for _, c in cells]
+    differences = [r - c for r, c in cells]
+    sums = [r + c for r, c in cells]
+    r0, c0 = min(rows), min(columns)
+    bounds = (max(columns) - c0 + 1, max(rows) - r0 + 1, *(
+        (max(span) - min(span) + 1) // 2 + 1 for span in (differences, sums)))
     order = min(range(4), key=bounds.__getitem__)
-    r0 = min(r for r, _ in cells)
-    c0 = min(c for _, c in cells)
+    _route(len(cells), bounds[order])
     # Local (row, column) coordinates from (0, 0): columns transpose the
     # region and anti-diagonals mirror it (c -> W - 1 - c), so that rows or
     # diagonals of the local box are swept.
@@ -268,14 +270,13 @@ def _sweep_cells(cells: Region, bounds: tuple[int, int, int, int]) -> dict[Cell,
     # By diagonals the cells go by ascending r + c and, within a diagonal,
     # ascending r.
     diagonal = None if order < 2 else (lambda cell: (cell[0] + cell[1], cell[0]))
-    return {key: local[key] for key in sorted(local, key=diagonal)}
+    return {key: local[key] for key in sorted(local, key=diagonal)}, bounds[order]
 
 
-def _sweep_engine(cells: Region, bounds: tuple[int, int, int, int]) -> tuple[list[Edge], Engine]:
+def _sweep_engine(cells: Region, local: dict[Cell, Cell]) -> tuple[list[Edge], Engine]:
     """The region's edges and the frontier sweep's engine: its steps, one
     (slot, down edge, right edge) per cell of _sweep_cells, each edge an
     index into the edges, -1 where it leaves the region."""
-    local = _sweep_cells(cells, bounds)
     edges = region_edges(cells)
     index = {edge: i for i, edge in enumerate(edges)}
 
@@ -329,7 +330,7 @@ def _sweep(plan: list[tuple[int, int, int]], values: list[int]) -> int:
 def check_cells(count: int, bits: int = 1, frontier: int = 64) -> None:
     """Refuse (CellsExceeded) a region of count cells, past what the
     determinant takes in about a second at that frontier bound, when its
-    scaled weights reach bits bits.
+    scaled weights reach bits bits (_route asks it at one bit).
 
     Unweighted entries are +-1, and the minors that the elimination
     carries count matchings, so they stay short: the work is about
@@ -364,11 +365,11 @@ def _kasteleyn_sum(
     """Sum of matching weights as a Kasteleyn determinant (see
     _kasteleyn_engine), prepared afresh on every call (matching_sum keeps
     its preparations)."""
-    return _weigh(cells, *_kasteleyn_engine(cells, _frontier_bounds(cells)), weights)
+    return _weigh(cells, *_kasteleyn_engine(cells, *_sweep_cells(cells)), weights)
 
 
 def _kasteleyn_engine(
-    cells: Region, bounds: tuple[int, int, int, int]
+    cells: Region, local: dict[Cell, Cell], frontier: int
 ) -> tuple[list[Edge], Engine]:
     """The region's edges and the Kasteleyn determinant's engine.
 
@@ -394,18 +395,16 @@ def _kasteleyn_engine(
       number of vertical edges.
 
     Then det = +-(sum of matching weights), with one sign for every
-    weighting of the region (see _kasteleyn).  A region past check_cells's
-    +-1 bound is refused (CellsExceeded) before anything is built.
+    weighting of the region (see _kasteleyn).
     """
-    check_cells(len(cells), 1, min(bounds))
-    ordered = list(_sweep_cells(cells, bounds).values())
+    ordered = list(local.values())
     edges = region_edges(cells)
     rows: dict[int, list[int]] = {}
     for r, c in sorted(cells):
         rows.setdefault(r, []).append(c)
     left_of = {(r, c): k for r, columns in rows.items() for k, c in enumerate(columns)}
     signs = [1 if a[0] == b[0] else 1 - 2 * (left_of[a] % 2) for a, b in edges]
-    return edges, functools.partial(_kasteleyn, ordered, edges, signs, min(bounds))
+    return edges, functools.partial(_kasteleyn, ordered, edges, signs, frontier)
 
 
 def _kasteleyn(
@@ -663,8 +662,8 @@ def kuo_identity_check(
     edges weigh 1).  Sub-diamond weights are inherited from the parent,
     and w_n, w_s, w_w, w_e are the four tip edge weights.  Dividing by
     W(G_center) turns this into the determinant recurrence at l = 1.
-    The whole diamond is summed first, so one too large for matching_sum
-    is refused before any sub-diamond is summed.
+    An order past matching_sum's bounds is refused before any cell is
+    built, and a weighting past them before any sub-diamond is summed.
     """
     if order < 2:
         raise OrderExceeded("the identity needs order at least 2")

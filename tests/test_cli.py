@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -631,6 +632,17 @@ def random_weights_json(cells, rng: Random) -> str:
     ])
 
 
+# Shapes past the determinant's bound.  Built, they would hold 1-2M cells
+# (the order-1000 diamond and its sub-diamonds, the 1024 x 1024 square);
+# each is refused before any cell is built.
+REFUSED_BEFORE_BUILDING = {
+    "kuo-check-order-1000": [
+        "kuo-check", "--order", "1000", "--min-order", "1000", "--trials", "0"
+    ],
+    "tile-aztec-1000": ["tile", "--shape", "aztec:1000"],
+    "tile-square-1024": ["tile", "--shape", "square:1024"],
+}
+
 MALFORMED = {
     "lam-zero-denominator": ["det-numeric", "--size-from", "ones:2", "--lam", "1/0"],
     "eval-zero-denominator": ["det", "--size-from", "ones:2", "--eval", "1/0"],
@@ -672,6 +684,7 @@ MALFORMED = {
         "tile", "--shape", "square:40",
         "--weights", random_weights_json(tilings.square_region(40), Random(40)),
     ],
+    **REFUSED_BEFORE_BUILDING,
 }
 
 
@@ -686,6 +699,21 @@ def test_malformed_input_is_an_error_line_not_a_traceback(capsys, argv):
     assert not err.startswith("error: ValueError")
 
 
+@pytest.mark.parametrize(
+    "argv", REFUSED_BEFORE_BUILDING.values(), ids=REFUSED_BEFORE_BUILDING.keys()
+)
+def test_refused_shapes_build_no_cells(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CellsExceeded: region has ")
+    assert peak < 16 * 2**20
+
+
 # 1 + l^10000 + l^20000 + ... + l^80000 in every entry: long packed slices.
 LONG_ENTRY = " + ".join(["1"] + ["1*l^%d" % (10000 * k) for k in range(1, 9)])
 
@@ -695,6 +723,8 @@ LARGE = {
     "tile-rect-18-80": ["tile", "--shape", "rect:18:80"],
     "tile-rect-300-24": ["tile", "--shape", "rect:300:24"],
     "tile-rect-2000-10": ["tile", "--shape", "rect:2000:10"],
+    # 6,270 digits, past CPython's default limit of 4300 for printing an int.
+    "tile-rect-2-30000": ["tile", "--shape", "rect:2:30000"],
     "det-long-entries": [
         "det", "--matrix", json.dumps({"size": 2, "entries": [[LONG_ENTRY] * 2] * 2})
     ],

@@ -67,6 +67,70 @@ class TestRegions:
                 build(*args)
         assert time.perf_counter() - start < 1
 
+    def test_shape_frontier_bounds_are_the_sweeps(self):
+        # The constructors ask _route at min(H, W) and n + 1 without
+        # building the cells; _sweep_cells finds the same bounds.
+        for height in range(1, 21):
+            for width in range(1, 21):
+                box = frozenset((r, c) for r in range(1, height + 1)
+                                for c in range(1, width + 1))
+                assert tilings._sweep_cells(box)[1] == min(height, width)
+        for n in range(1, 40):
+            assert tilings._sweep_cells(diamond_cells(2 * n))[1] == n + 1
+
+    @pytest.mark.parametrize(
+        "build, args, refused, engine",
+        [
+            # 8 x 8192 is 2**16 cells, whose sweep work at frontier 8 is
+            # MAX_SWEEP_WORK; one column more takes the determinant.
+            (rectangle_region, (8, 8192), False, "_sweep"),
+            (rectangle_region, (8, 8193), False, "_kasteleyn"),
+            # The determinant admits 4096**2 // min(B, 64)**2 cells: 41943 at
+            # B = 20 (a thin box, past the sweep's work), 4096 at B = 64,
+            # and 5724 for the order-53 diamond at B = 54, not 5940 for
+            # order 54 at B = 55.
+            (rectangle_region, (20, 2097), False, "_kasteleyn"),
+            (rectangle_region, (20, 2098), True, None),
+            (rectangle_region, (64, 64), False, "_kasteleyn"),
+            (rectangle_region, (64, 65), True, None),
+            (rectangle_region, (300, 300), True, None),
+            (aztec_region, (53,), False, "_kasteleyn"),
+            (aztec_region, (54,), True, None),
+        ],
+    )
+    def test_shapes_are_refused_exactly_when_their_cells_are(
+        self, build, args, refused, engine
+    ):
+        if build is aztec_region:
+            cells = diamond_cells(2 * args[0])
+        else:
+            height, width = args
+            cells = frozenset((r, c) for r in range(1, height + 1)
+                              for c in range(1, width + 1))
+
+        def refusal(make, *what):
+            try:
+                make(*what)
+            except CellsExceeded as exc:
+                return str(exc)
+            return None
+
+        # matching_sum refuses in its region step, before any summing.
+        made, summed = refusal(build, *args), refusal(tilings._evaluator, cells)
+        try:
+            assert made == summed
+            assert (made is not None) is refused
+            if not refused:
+                assert route(cells) is getattr(tilings, engine)
+        finally:
+            tilings._evaluator.cache_clear()
+
+    def test_an_odd_box_past_the_bound_is_refused_though_it_sums_to_zero(self):
+        box = frozenset((r, c) for r in range(1, 66) for c in range(1, 66))
+        assert matching_sum(box) == 0
+        with pytest.raises(CellsExceeded, match="region has 4225 cells"):
+            square_region(65)
+
     def test_aztec_region_sizes(self):
         assert aztec_region(0) == frozenset()
         for n in range(1, 6):
@@ -675,7 +739,7 @@ class TestDeterminantInEachOrder:
         rng = Random(sorted(THIN_BOXES).index(name) + 2500)
         for _ in range(4):
             cells = random_dominoes(box, rng)
-            ordered = tilings._sweep_cells(cells, tilings._frontier_bounds(cells)).values()
+            ordered = tilings._sweep_cells(cells)[0].values()
             assert list(ordered) == sorted(cells, key=key)
             assert route(cells) is tilings._kasteleyn
             weights = nonzero_weights(cells, rng)
@@ -717,7 +781,7 @@ class TestPreparedRegions:
         ids=["swept", "determinant"],
     )
     def test_other_weights_reuse_the_region_step(self, cells, monkeypatch):
-        names = ("region_edges", "_frontier_bounds", "_sweep_cells")
+        names = ("region_edges", "_sweep_cells")
         calls = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, step=getattr(tilings, name)):

@@ -23,15 +23,15 @@ check_cells's +-1 bound, and other thin ones to the sweep; it is asked
 before any cell is ordered or built.  matching_sum works in two steps:
 a region step, which depends on the cells alone (the parity test, the
 route and its engine, an int function of the region's int edge values:
-the sweep's steps, or the determinant's cell order, edges and signs)
+the sweep's steps, or the determinant's matrix places and signs)
 and is kept for the last 16 regions summed, and one weight step for
 both routes, which scales the weights to ints, runs the engine and
 divides the scale back out.
 matching_sum_brute recurses on the first uncovered cell and is kept
 deliberately naive so it can serve as an independent check of the other
 two.  The Aztec-diamond families, their four-fold overlapping
-sub-diamonds, and the graphical condensation identity that ties them to
-the determinant recurrence all live here as well.
+sub-diamonds, Kuo's condensation identity that ties them to the
+determinant recurrence and the square's exact product formula live here.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def matching_sum(
     depends on the cells alone: it tests the parity, picks the route and
     prepares that route's engine, an int function of int edge values in
     region_edges order: for a swept region its steps with the index of the
-    edge each one weighs, for the determinant its cell order, edges and
+    edge each one weighs, for the determinant each edge's matrix place and
     Kasteleyn signs.  The one weight step, _weigh, looks each edge's
     weight up, scales the weights to ints, runs the engine and divides the
     scale back out.  The last 16 region steps are kept
@@ -395,23 +395,28 @@ def _kasteleyn_engine(
       number of vertical edges.
 
     Then det = +-(sum of matching weights), with one sign for every
-    weighting of the region (see _kasteleyn).
+    weighting of the region (see _kasteleyn).  Rows and columns go in the
+    sweep's order, padded to a square by zeros if the colours differ.
     """
-    ordered = list(local.values())
     edges = region_edges(cells)
     rows: dict[int, list[int]] = {}
     for r, c in sorted(cells):
         rows.setdefault(r, []).append(c)
     left_of = {(r, c): k for r, columns in rows.items() for k, c in enumerate(columns)}
     signs = [1 if a[0] == b[0] else 1 - 2 * (left_of[a] % 2) for a, b in edges]
-    return edges, functools.partial(_kasteleyn, ordered, edges, signs, frontier)
+    black = [cell for cell in local.values() if sum(cell) % 2 == 0]
+    white = [cell for cell in local.values() if sum(cell) % 2]
+    index = {cell: i for part in (black, white) for i, cell in enumerate(part)}
+    places = [(index[a], index[b]) if sum(a) % 2 == 0 else (index[b], index[a]) for a, b in edges]
+    size = max(len(black), len(white))
+    return edges, functools.partial(_kasteleyn, size, places, signs, frontier)
 
 
 def _kasteleyn(
-    ordered: list[Cell], edges: list[Edge], signs: list[int], frontier: int, values: list[int]
+    size: int, places: list[tuple[int, int]], signs: list[int], frontier: int, values: list[int]
 ) -> int:
     """The sum of matchings under the int edge values, from the signed
-    determinant of _kasteleyn_engine in the sweep's cell order.
+    determinant of _kasteleyn_engine, of size rows with edge e at places[e].
 
     With no negative value the sum is |det|, and otherwise det takes the
     sign of the all-ones determinant (a sum of 0 when that is 0).  A
@@ -424,25 +429,27 @@ def _kasteleyn(
     orders 20-30).
     """
     try:
-        check_cells(len(ordered), max(map(abs, values), default=1).bit_length(), frontier)
+        check_cells(2 * size, max(map(abs, values), default=1).bit_length(), frontier)
     except CellsExceeded:
         # The signs restricted to the nonzero values count the matchings
         # that avoid every zero value, on short entries; with none of
         # them the sum is 0.
-        if _determinant(ordered, edges, [s if w else 0 for s, w in zip(signs, values)]):
+        if _determinant(size, places, [s if w else 0 for s, w in zip(signs, values)]):
             raise
         return 0
-    total = _determinant(ordered, edges, [s * w for s, w in zip(signs, values)])
+    total = _determinant(size, places, [s * w for s, w in zip(signs, values)])
     if min(values, default=0) >= 0:
         return abs(total)
-    ones = _determinant(ordered, edges, signs)
+    ones = _determinant(size, places, signs)
     return total * ((ones > 0) - (ones < 0))
 
 
-def _determinant(cells: Iterable[Cell], edges: list[Edge], entries: list[int]) -> int:
-    """Determinant of the black x white matrix with entries[e] at edge e,
-    by fraction-free (Bareiss) elimination on sparse rows, in the order of
-    cells (the sweep's, in which the fill stays about a frontier wide).
+def _determinant(size: int, places: list[tuple[int, int]], entries: list[int]) -> int:
+    """Determinant of the size x size int matrix with entries[e] at
+    places[e] = (row, column), each place once, and 0 elsewhere, by
+    fraction-free (Bareiss) elimination on sparse rows, column by column
+    (the Kasteleyn matrix's in the sweep's order, where the fill stays
+    about a frontier wide).
 
     At step k the pivot is, among the rows with an entry in column k, the
     one with the fewest entries; every other such row r becomes
@@ -452,21 +459,11 @@ def _determinant(cells: Iterable[Cell], edges: list[Edge], entries: list[int]) -
     each entry v becomes v * p_(k-1) / p_s at once, which is exact.  The
     last pivot is the determinant of the rows in pivot order.
     """
-    black = [cell for cell in cells if (cell[0] + cell[1]) % 2 == 0]
-    white = [cell for cell in cells if (cell[0] + cell[1]) % 2]
-    if len(black) != len(white):
-        return 0
-    row_of = {cell: i for i, cell in enumerate(black)}
-    column_of = {cell: j for j, cell in enumerate(white)}
-    rows: list[dict[int, int]] = [{} for _ in black]
-    for (a, b), value in zip(edges, entries):
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    holders: list[set[int]] = [set() for _ in range(size)]
+    for (i, j), value in zip(places, entries):
         if value:
-            if a not in row_of:
-                a, b = b, a
-            rows[row_of[a]][column_of[b]] = value
-    holders: list[set[int]] = [set() for _ in white]
-    for i, row in enumerate(rows):
-        for j in row:
+            rows[i][j] = value
             holders[j].add(i)
     pivots = [1]  # pivots[s] is the pivot of step s - 1; rows start at s = 0
     level = [0] * len(rows)
@@ -591,16 +588,18 @@ def diamond_window_region(N: int, k: int, i: int, j: int) -> Region | None:
 # -- square counts in closed form ---------------------------------------
 
 
-def tfk_count(n: int) -> float:
-    """Floating-point product formula for tilings of the 2n-by-2n square:
-    product over 1 <= j, k <= n of (4 cos^2(pi j / (2n+1)) + 4 cos^2(pi k / (2n+1)))."""
-    total = 1.0
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            total *= 4 * math.cos(math.pi * j / (2 * n + 1)) ** 2 + 4 * math.cos(
-                math.pi * k / (2 * n + 1)
-            ) ** 2
-    return total
+def tfk_count(n: int) -> int:
+    """Kasteleyn's and Temperley-Fisher's product for the tilings of the
+    2n-by-2n square, over 1 <= j, k <= n of x_j + x_k with x_j =
+    4 cos^2(pi j / (2n+1)), exactly.  The x_j are the roots of R(x) =
+    sum_i (-1)^i C(2n-i, i) x^(n-i), and S(y) = sum_i C(2n-i, i) y^(n-i)
+    is the product of y + x_k, so this is Res(R, S), R being monic: the
+    determinant of their Sylvester matrix, where row r < n holds R's
+    coefficients and row n + r S's, each from column r on."""
+    terms = [(r, i, math.comb(2 * n - i, i)) for r in range(n) for i in range(n + 1)]
+    places = [(r, r + i) for r, i, _ in terms] + [(n + r, r + i) for r, i, _ in terms]
+    entries = [(-1) ** i * a for _, i, a in terms] + [a for *_, a in terms]
+    return _determinant(2 * n, places, entries)
 
 
 # -- graphical condensation ---------------------------------------------

@@ -1,8 +1,8 @@
 """Every name a module imports is used in it (no linter is configured),
 only laurent.py reads LaurentPoly's private attributes, so the layout of a
 value can change in that one module, no package module imports
-another's private (underscore) names, and every error type is raised
-somewhere in the package."""
+another's private (underscore) names, every error type is raised
+somewhere in the package, and the package computes no float."""
 
 from __future__ import annotations
 
@@ -146,3 +146,44 @@ def test_every_error_type_is_raised():
         *(raised_names(path.read_text()) for path in (ROOT / PACKAGE).glob("*.py"))
     )
     assert sorted(declared - raised) == []
+
+
+INEXACT_MATH = frozenset({"cos", "sin", "pi", "inf", "isfinite"})
+
+
+def inexact_uses(source: str) -> list[str]:
+    """Float constants, float(...) calls and trigonometric or infinite
+    math names in the source, each after its line number, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                found.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Attribute) and node.attr in INEXACT_MATH:
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.append((node.lineno, "math." + node.attr))
+    return ["%d: %s" % use for use in sorted(found)]
+
+
+def test_scanner_flags_inexact_arithmetic():
+    source = (
+        "import math, time\n"
+        "def f(n: int) -> float:\n"
+        "    start = time.perf_counter()\n"
+        "    x = 1.0 * math.cos(math.pi / n) + float(n) + 2j\n"
+        "    return math.comb(n, 2), math.isfinite(x), time.perf_counter() - start\n"
+    )
+    assert inexact_uses(source) == [
+        "4: 1.0", "4: 2j", "4: float()", "4: math.cos", "4: math.pi", "5: math.isfinite"
+    ]
+
+
+def test_package_computes_no_float():
+    found = [
+        "%s:%s" % (path.relative_to(ROOT), use)
+        for path in sorted((ROOT / PACKAGE).glob("*.py"))
+        for use in inexact_uses(path.read_text())
+    ]
+    assert found == []

@@ -622,9 +622,10 @@ def unmended_determinant(cells):
     """|det| with (-1)^c on every vertical edge (r, c)-(r+1, c) and no
     sign change around holes: the tiling count of a region without holes
     and, for some regions with an odd hole, a wrong one."""
-    edges = region_edges(cells)
+    edges, engine = tilings._kasteleyn_engine(cells, *tilings._sweep_cells(cells))
+    size, places = engine.args[:2]
     signs = [1 if a[0] == b[0] else (-1) ** (a[1] % 2) for a, b in edges]
-    return abs(tilings._determinant(cells, edges, signs))
+    return abs(tilings._determinant(size, places, signs))
 
 
 def random_region(height, width, rng):
@@ -929,6 +930,17 @@ class TestCondensationIdentity:
         assert not KuoCheck(order=2, lhs=1, rhs=2).holds
 
 
+def cosine_product(n):
+    """Kasteleyn's and Temperley-Fisher's product for the 2n x 2n square,
+    in floats: over 1 <= j, k <= n of 4 cos^2(pi j / (2n+1)) + 4 cos^2(pi k / (2n+1))."""
+    return math.prod(
+        4 * math.cos(math.pi * j / (2 * n + 1)) ** 2
+        + 4 * math.cos(math.pi * k / (2 * n + 1)) ** 2
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+    )
+
+
 class TestTrigonometricProduct:
     def test_rounds_to_exact_small_counts(self):
         for n, exact in ((1, 2), (2, 36), (3, 6728), (4, 12988816)):
@@ -937,6 +949,75 @@ class TestTrigonometricProduct:
     def test_relative_error_stays_tiny(self):
         for n, exact in ((5, 258584046368), (6, 53060477521960000)):
             assert abs(tfk_count(n) - exact) / exact < 1e-9
+
+    def test_is_the_exact_tiling_count(self):
+        for n in range(17):
+            value = tfk_count(n)
+            assert type(value) is int
+            assert value == count_tilings(square_region(2 * n))
+
+    def test_is_the_cosine_product(self):
+        # The exact product's only remaining link to trigonometry.
+        for n in range(9):
+            assert abs(tfk_count(n) / cosine_product(n) - 1) < 1e-9
+
+
+def fraction_determinant(matrix):
+    """Determinant by Gaussian elimination over Fractions, with row swaps."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def sparse_determinant(matrix, rng=None):
+    """tilings._determinant of a dense matrix given by its nonzero places,
+    in a shuffled order when rng is given."""
+    nonzero = [((i, j), v) for i, row in enumerate(matrix) for j, v in enumerate(row) if v]
+    if rng is not None:
+        rng.shuffle(nonzero)
+    places = [place for place, _ in nonzero]
+    return tilings._determinant(len(matrix), places, [v for _, v in nonzero])
+
+
+class TestSparseDeterminant:
+    """The sparse Bareiss determinant held to Fraction elimination."""
+
+    def test_seeded_matrices(self):
+        rng = Random(290)
+        singular = 0
+        for _ in range(400):
+            size = rng.randint(1, 7)
+            density = rng.uniform(0.2, 1)
+            matrix = [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(size)]
+                for _ in range(size)
+            ]
+            if size > 2 and rng.random() < 0.25:
+                # The last row a combination of the first two: singular.
+                matrix[-1] = [2 * a - b for a, b in zip(matrix[0], matrix[1])]
+            expected = fraction_determinant(matrix)
+            singular += expected == 0
+            assert sparse_determinant(matrix, rng) == expected
+        assert singular >= 60
+
+    def test_zero_pivots_and_the_empty_matrix(self):
+        assert tilings._determinant(0, [], []) == 1
+        assert sparse_determinant([[0, 2], [3, 4]]) == -6
+        assert sparse_determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert sparse_determinant([[0, 5, 1], [0, 3, 2], [4, 1, 1]]) == 28
+        assert sparse_determinant([[1, 2], [2, 4]]) == 0
+        assert sparse_determinant([[0, 1], [0, 7]]) == 0
 
 
 class TestGuards:
